@@ -1,7 +1,8 @@
 """Command line entry point: simulate panels, fit estimators, evaluate fits.
 
 Exit codes: 0 success, 2 user or input error, 3 estimator stopped at the
-iteration cap without meeting its tolerance (results are still written).
+iteration cap without meeting its tolerance (results are still written),
+4 numerical failure of an estimator (for example a decreasing EM likelihood).
 Every artifact except timing.txt is byte-reproducible for a fixed seed and
 identical inputs.
 """
@@ -34,6 +35,7 @@ from .start import spectral_start
 EXIT_OK = 0
 EXIT_USER_ERROR = 2
 EXIT_NOT_CONVERGED = 3
+EXIT_NUMERICAL = 4
 
 
 class CliError(Exception):
@@ -394,6 +396,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"ifa: error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    except RuntimeError as exc:
+        print(f"ifa: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .sampler import GibbsEngine, MhEngine
 from .start import default_items
 
 _ESTEP_CELL_BUDGET = 2_000_000
+_LOG_FLOOR = -1e300
 _MSTEP_TOL = 1e-8
 
 
@@ -82,35 +83,46 @@ def _estep_tables(responses, items, grid: QuadratureGrid, link: Link):
     Returns (counts, second_moment, loglik): per-item expected category
     counts at every node (node x category), the summed posterior second
     moment of theta, and the total marginal log-likelihood.
+
+    With H the persons x (category, item) indicator matrix of the responses
+    (missing cells are zero rows) and L the matching (category, item) x node
+    table of log category probabilities, the nodewise log-likelihoods are
+    H @ L and the expected counts are post.T @ H: two matrix products per
+    chunk of persons.
     """
-    n = responses.shape[0]
-    m = grid.nodes.shape[0]
-    k = grid.nodes.shape[1]
-    log_tables = [category_logprobs(grid.nodes, it, link) for it in items]
-    counts = [np.zeros((m, it.n_categories)) for it in items]
-    second = np.zeros((k, k))
+    n, n_items = responses.shape
+    m, k = grid.nodes.shape
+    n_cat = max(it.n_categories for it in items)
+    # padded rows of items with fewer categories are never selected by H
+    log_table = np.zeros((n_cat, n_items, m))
+    for j, it in enumerate(items):
+        log_table[: it.n_categories, j] = category_logprobs(grid.nodes, it, link).T
+    # a zero-probability cell keeps zeroing its node without 0 * -inf = NaN
+    np.maximum(log_table, _LOG_FLOOR, out=log_table)
+    log_table = log_table.reshape(n_cat * n_items, m)
+    codes = np.arange(n_cat)[:, None]
+    count_table = np.zeros((m, n_cat * n_items))
+    node_mass = np.zeros(m)
     total = 0.0
     chunk = max(1, _ESTEP_CELL_BUDGET // m)
+    buf = np.empty((min(n, chunk), m))
     for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        block = responses[start:stop]
-        loglik = np.tile(grid.log_weights, (stop - start, 1))
-        for j, table in enumerate(log_tables):
-            y = block[:, j]
-            mask = y != MISSING
-            if mask.any():
-                loglik[mask] += table[:, y[mask]].T
-        peak = loglik.max(axis=1, keepdims=True)
-        person_ll = peak[:, 0] + np.log(np.exp(loglik - peak).sum(axis=1))
-        total += float(person_ll.sum())
-        post = np.exp(loglik - person_ll[:, None])
-        second += grid.nodes.T @ (post.sum(axis=0)[:, None] * grid.nodes)
-        for j, it in enumerate(items):
-            y = block[:, j]
-            for t in range(it.n_categories):
-                sel = y == t
-                if sel.any():
-                    counts[j][:, t] += post[sel].sum(axis=0)
+        block = responses[start : start + chunk]
+        post = buf[: block.shape[0]]
+        hits = (block[:, None, :] == codes).reshape(block.shape[0], -1).astype(float)
+        np.matmul(hits, log_table, out=post)
+        post += grid.log_weights
+        peak = post.max(axis=1, keepdims=True)
+        post -= peak
+        np.exp(post, out=post)
+        mass = post.sum(axis=1, keepdims=True)
+        post /= mass
+        total += float(np.sum(peak) + np.sum(np.log(mass)))
+        node_mass += post.sum(axis=0)
+        count_table += post.T @ hits
+    count_table = count_table.reshape(m, n_cat, n_items)
+    counts = [count_table[:, : it.n_categories, j].copy() for j, it in enumerate(items)]
+    second = grid.nodes.T @ (node_mass[:, None] * grid.nodes)
     return counts, second, total
 
 
@@ -238,15 +250,15 @@ def _free_masks(items, q):
 
 
 def _mstep_items(items, design, weights_list, link: Link, masks, row_masks=None):
-    """Per-item weighted Newton fits; returns (items, any_line_search_failure)."""
+    """Per-item weighted Newton fits; returns (items, number of failed line searches)."""
     out = []
-    failed = False
+    failed = 0
     for j, (item, w, mask) in enumerate(zip(items, weights_list, masks)):
         d = design if row_masks is None else design[row_masks[j]]
         result = fit_item(
             d, w, item, link, free_mask=mask, max_steps=50, grad_tol=_MSTEP_TOL
         )
-        failed = failed or result.line_search_failed
+        failed += int(result.line_search_failed)
         out.append(result.params)
     return out, failed
 
@@ -320,6 +332,7 @@ def fit_em_quadrature(
     responses = data.responses
     trajectory = []
     loglik_trail = []
+    mstep_failures = []
     prev = None
     converged = False
     n_iters = 0
@@ -336,7 +349,8 @@ def fit_em_quadrature(
                 converged = True
                 break
         prev = loglik
-        items, _ = _mstep_items(items, grid.nodes, counts, link, masks)
+        items, failed = _mstep_items(items, grid.nodes, counts, link, masks)
+        mstep_failures.append(failed)
         corr, items = _rescale_correlation(second / data.n_persons, items, compensate=True)
         trajectory.append(pack_params(items, corr))
         n_iters += 1
@@ -354,7 +368,7 @@ def fit_em_quadrature(
         marginal_loglik=loglik_trail[-1],
         converged=converged,
         n_iters=n_iters,
-        info={"loglik_trail": np.asarray(loglik_trail)},
+        info={"loglik_trail": np.asarray(loglik_trail), "mstep_failures": mstep_failures},
     )
 
 
@@ -439,6 +453,7 @@ def fit_mcem(
     responses = data.responses
     chains = _ChainPool(data, k, link, model, config.seed)
     trajectory = []
+    mstep_failures = []
     n_iters = 0
     for t, n_draws in enumerate(draws_schedule):
         chains.refresh(items, corr)
@@ -453,7 +468,8 @@ def fit_mcem(
             w = _one_hot(np.tile(y[obs], n_draws), item.n_categories)
             weights_list.append(w)
             row_masks.append(np.tile(obs, n_draws))
-        items, _ = _mstep_items(items, design, weights_list, link, masks, row_masks)
+        items, failed = _mstep_items(items, design, weights_list, link, masks, row_masks)
+        mstep_failures.append(failed)
         second = design.T @ design / design.shape[0]
         corr, items = _rescale_correlation(second, items, compensate=True)
         trajectory.append(pack_params(items, corr))
@@ -465,7 +481,7 @@ def fit_mcem(
         marginal_loglik=None,
         converged=True,
         n_iters=n_iters,
-        info={"draws_schedule": list(draws_schedule)},
+        info={"draws_schedule": list(draws_schedule), "mstep_failures": mstep_failures},
     )
 
 
@@ -508,6 +524,7 @@ def fit_stem(
     responses = data.responses
     chains = _ChainPool(data, k, link, model, config.seed)
     trajectory = []
+    mstep_failures = []
     for t in range(config.total_iters):
         chains.refresh(items, corr)
         for _ in range(config.sweeps_per_iter):
@@ -519,7 +536,8 @@ def fit_stem(
             obs = y != MISSING
             weights_list.append(_one_hot(y[obs], item.n_categories))
             row_masks.append(obs)
-        items, _ = _mstep_items(items, thetas, weights_list, link, masks, row_masks)
+        items, failed = _mstep_items(items, thetas, weights_list, link, masks, row_masks)
+        mstep_failures.append(failed)
         second = thetas.T @ thetas / data.n_persons
         corr, items = _rescale_correlation(second, items, compensate=True)
         trajectory.append(pack_params(items, corr))
@@ -533,7 +551,7 @@ def fit_stem(
         marginal_loglik=None,
         converged=True,
         n_iters=config.total_iters,
-        info={"burn_in": config.burn_in},
+        info={"burn_in": config.burn_in, "mstep_failures": mstep_failures},
     )
 
 

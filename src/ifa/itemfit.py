@@ -17,6 +17,7 @@ import numpy as np
 from .models import ItemParams, Link, ModelKind, soft_grad_hess, soft_loglik
 
 _MIN_GAP = 1e-12
+_ROUNDOFF_GAIN = 1e-13
 
 
 @dataclass
@@ -117,7 +118,9 @@ def fit_item(
 
     Each step backtracks over halved step sizes and accepts the first
     candidate (after ball projection) that strictly increases the objective;
-    if none does, the previous iterate is kept and the fit is flagged.
+    if none does, the previous iterate is kept and the fit is flagged.  A
+    step whose predicted gain g'd/2 is within 1e-13 (|objective| + 1) of
+    zero is below the objective's round-off: the fit stops there, converged.
     """
     free_mask = resolve_free_mask(params0, free_mask)
     params = project_ball(params0, ball_radius)
@@ -140,6 +143,9 @@ def fit_item(
             direction = g.copy()
         if direction @ g <= 0:  # not an ascent direction (reparametrized curvature)
             direction = g.copy()
+        if 0.5 * (g @ direction) <= _ROUNDOFF_GAIN * (abs(obj) + 1.0):
+            converged = True  # the predicted gain is below the objective's round-off
+            break
         x = to_internal(params, free_mask)
         accepted = False
         alpha = 1.0

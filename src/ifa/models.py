@@ -241,14 +241,32 @@ def category_probs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.nda
         return np.column_stack([1.0 - p1, p1])
     if params.kind is ModelKind.GRADED:
         z = params.intercepts[None, :] + (theta @ params.loadings)[:, None]
-        cum = link.cdf(z)
-        n = theta.shape[0]
-        padded = np.column_stack([np.zeros(n), cum, np.ones(n)])
-        return np.diff(padded, axis=1)
+        return _graded_cells(z, link)
     logits = _gpc_logits(theta, params)
     logits = logits - logits.max(axis=1, keepdims=True)  # overflow guard
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _graded_cells(z, link: Link) -> np.ndarray:
+    """Graded category probabilities from the cutpoint predictors z (n, T).
+
+    Each cell is a difference of the two tails on the side of its lower
+    cutpoint: G(z_t) - G(z_{t-1}) below 0 and (1 - G(z_{t-1})) - (1 - G(z_t))
+    above, so far upper-tail cells do not cancel to 0.  The link cdf is
+    evaluated once per cutpoint, at -|z|, and both tails derive from it.
+    """
+    n = z.shape[0]
+    small = link.cdf(-np.abs(z))
+    upper = z >= 0
+    below = np.where(upper, 1.0 - small, small)
+    above = np.where(upper, small, 1.0 - small)
+    below = np.column_stack([np.zeros(n), below, np.ones(n)])
+    above = np.column_stack([np.ones(n), above, np.zeros(n)])
+    lower_cut_upper = np.column_stack([np.zeros(n, dtype=bool), upper])
+    return np.where(
+        lower_cut_upper, above[:, :-1] - above[:, 1:], below[:, 1:] - below[:, :-1]
+    )
 
 
 def category_logprobs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
@@ -323,9 +341,8 @@ def pointwise_score(y, theta, params: ItemParams, link: Link):
     n = theta.shape[0]
     gpad = np.column_stack([np.zeros(n), link.pdf(z), np.zeros(n)])
     hpad = np.column_stack([np.zeros(n), link.dpdf(z), np.zeros(n)])
-    cpad = np.column_stack([np.zeros(n), link.cdf(z), np.ones(n)])
     rows = np.arange(n)
-    f = np.clip(cpad[rows, y + 1] - cpad[rows, y], _CLIP_LO, None)
+    f = np.clip(_graded_cells(z, link)[rows, y], _CLIP_LO, None)
     dg = gpad[rows, y + 1] - gpad[rows, y]
     dh = hpad[rows, y + 1] - hpad[rows, y]
     score = dg / f
@@ -481,7 +498,7 @@ def _graded_grad_hess(design, w, params, link):
     n = design.shape[0]
     m = design @ params.loadings
     z = params.intercepts[None, :] + m[:, None]
-    cpad = np.column_stack([np.zeros(n), link.cdf(z), np.ones(n)])
+    cells = np.clip(_graded_cells(z, link), _CLIP_LO, None)
     gpad = np.column_stack([np.zeros(n), link.pdf(z), np.zeros(n)])
     hpad = np.column_stack([np.zeros(n), link.dpdf(z), np.zeros(n)])
     dim = t_count + k
@@ -491,7 +508,7 @@ def _graded_grad_hess(design, w, params, link):
         wt = w[:, t]
         if not np.any(wt > 0):
             continue
-        f = np.clip(cpad[:, t + 1] - cpad[:, t], _CLIP_LO, None)
+        f = cells[:, t]
         up = gpad[:, t + 1] / f
         lo = gpad[:, t] / f
         alpha = hpad[:, t + 1] / f

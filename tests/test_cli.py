@@ -123,6 +123,24 @@ class TestFitCommand:
         assert (out / "params.json").exists()
         assert (out / "trajectory.csv").exists()
 
+    def test_numerical_failure_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
+        import ifa.cli
+
+        def diverging_fit(*args, **kwargs):
+            raise RuntimeError("EM marginal log-likelihood decreased; the M step diverged")
+
+        monkeypatch.setattr(ifa.cli, "fit_em_quadrature", diverging_fit)
+        panel = simulate_panel(tmp_path)
+        code = run(
+            "--command", "fit", "--estimator", "em", "--k", 1,
+            "--input", panel / "data.csv", "--output-dir", tmp_path / "em",
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "numerical failure" in err and "decreased" in err
+        assert "Traceback" not in err
+
     def test_seeded_stochastic_fit_reproduces_bytes(self, tmp_path):
         panel = simulate_panel(tmp_path)
         outputs = []

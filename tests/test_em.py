@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import expit, log_expit, logit
+from scipy.special import expit, log_expit, logit, logsumexp
+
+import ifa.em
 
 from ifa.em import (
     EmConfig,
@@ -31,11 +33,13 @@ from ifa.em import (
     unpack_params,
 )
 from ifa.models import (
+    MISSING,
     Dataset,
     FactorConfig,
     ItemParams,
     Link,
     ModelKind,
+    category_logprobs,
     log_joint_likelihood,
 )
 from ifa.simulate import SimSpec, simulate
@@ -110,6 +114,60 @@ class TestMarginalLikelihood:
             build_grid(1, FactorConfig(1))
 
 
+def reference_estep(responses, items, grid, link):
+    """E-step tables person by person and item by item."""
+    nodes = grid.nodes
+    tables = [category_logprobs(nodes, it, link) for it in items]
+    counts = [np.zeros((nodes.shape[0], it.n_categories)) for it in items]
+    second = np.zeros((nodes.shape[1],) * 2)
+    total = 0.0
+    for row in responses:
+        loglik = grid.log_weights.copy()
+        for table, y in zip(tables, row):
+            if y != MISSING:
+                loglik = loglik + table[:, y]
+        person = logsumexp(loglik)
+        total += person
+        post = np.exp(loglik - person)
+        second += nodes.T @ (post[:, None] * nodes)
+        for count, y in zip(counts, row):
+            if y != MISSING:
+                count[:, y] += post
+    return counts, second, total
+
+
+class TestEstepTables:
+    def test_matches_per_item_reference(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        items = [
+            ItemParams(ModelKind.BINARY, [0.3], [1.2, 0.0]),
+            ItemParams(ModelKind.GRADED, [-1.0, 0.2, 1.1], [0.8, 0.6]),
+            ItemParams(ModelKind.GPC, [0.5, -0.4], [0.0, 1.3]),
+            ItemParams(ModelKind.BINARY, [-0.7], [0.4, 0.9]),
+            # loading so steep that the top category has probability exactly
+            # 0 at the high nodes of the first factor
+            ItemParams(ModelKind.GRADED, [-1.0, 0.0, 1.0], [200.0, 0.0]),
+        ]
+        n = 60
+        categories = [it.n_categories for it in items]
+        responses = np.column_stack([rng.integers(0, c, size=n) for c in categories])
+        responses[rng.random(responses.shape) < 0.2] = MISSING
+        responses[0, 4] = 3
+        grid = build_grid(9, FactorConfig(2, np.array([[1.0, 0.3], [0.3, 1.0]])))
+        top = category_logprobs(grid.nodes, items[4], Link.LOGIT)[:, 3]
+        assert np.isneginf(top).any() and np.isfinite(top).any()
+        # 7 persons per chunk: 8 full chunks and a ragged one of 4
+        monkeypatch.setattr(ifa.em, "_ESTEP_CELL_BUDGET", 7 * grid.nodes.shape[0])
+        counts, second, total = ifa.em._estep_tables(responses, items, grid, Link.LOGIT)
+        ref_counts, ref_second, ref_total = reference_estep(responses, items, grid, Link.LOGIT)
+        assert np.isfinite(total) and total == pytest.approx(ref_total, rel=1e-12, abs=0)
+        np.testing.assert_allclose(second, ref_second, rtol=1e-12, atol=0)
+        for count, ref in zip(counts, ref_counts):
+            assert count.shape == ref.shape and not np.isnan(count).any()
+            np.testing.assert_allclose(count, ref, rtol=1e-12, atol=0)
+        assert np.all(counts[4][np.isneginf(top), 3] == 0.0)
+
+
 class TestQuadratureEm:
     def test_loglik_monotone(self):
         data, _, _ = simulate(SimSpec(n_persons=500, n_items=10, k=1, seed=3))
@@ -132,6 +190,17 @@ class TestQuadratureEm:
         est = packed(fit)
         rmse = float(np.sqrt(np.mean((est - truth) ** 2)))
         assert rmse < 0.1
+
+    def test_no_failed_item_fits(self, benchmark_panel):
+        fit = benchmark_panel[3]
+        assert fit.info["mstep_failures"] == [0] * fit.n_iters
+
+    def test_graded_probit_reaches_the_truth(self):
+        spec = SimSpec(2000, 20, k=1, model="graded", categories=4, link="probit", seed=7)
+        data, _, items = simulate(spec)
+        fit = fit_em_quadrature(data, 1, "graded", "probit")
+        truth = log_marginal_likelihood(data, items, FactorConfig(1), link=Link.PROBIT)
+        assert fit.converged and fit.marginal_loglik >= truth
 
     def test_truth_start_stays_close(self):
         # N large enough that the MLE's own sampling error sits inside the

@@ -120,6 +120,25 @@ class TestFitItem:
                 design, w, item, Link.LOGIT
             ) - 1e-10
 
+    def test_refit_at_optimum_stops_at_roundoff(self, monkeypatch):
+        import ifa.itemfit
+
+        rng = np.random.default_rng(8)
+        design = rng.normal(size=(500, 2))
+        item = random_item(ModelKind.GRADED, 2, rng, categories=4)
+        w = one_hot(rng.integers(0, 4, size=500), 4)
+        optimum = fit_item(design, w, item, Link.PROBIT).params
+        evals = []
+
+        def counted(*args):
+            evals.append(1)
+            return soft_loglik(*args)
+
+        monkeypatch.setattr(ifa.itemfit, "soft_loglik", counted)
+        res = fit_item(design, w, optimum, Link.PROBIT)
+        assert res.converged and not res.line_search_failed
+        assert len(evals) <= 2
+
 
 class TestInternalCoordinates:
     def test_round_trip_all_models(self):

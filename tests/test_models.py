@@ -146,6 +146,23 @@ class TestGradedIrf:
             p_mid = irf_graded(np.array([theta]), item, 1, Link.LOGIT)
             assert abs(p_mid) < 1e-12
 
+    def test_upper_tail_cells_do_not_cancel(self):
+        # far above every cutpoint G(z_t) rounds to 1, yet the cells are the
+        # differences of the upper tails 1 - G(z) = G(-z)
+        from scipy.special import log_expit, log_ndtr
+
+        item = ItemParams(ModelKind.GRADED, np.array([-1.0, 0.0, 1.0]), np.array([1.0]))
+        theta = np.array([[9.0], [20.0]])
+        z = item.intercepts[None, :] + theta
+        for link, log_cdf in ((Link.PROBIT, log_ndtr), (Link.LOGIT, log_expit)):
+            tail = np.exp(log_cdf(-z))
+            expected = np.column_stack([1.0 - tail[:, 0], -np.diff(tail, axis=1), tail[:, -1]])
+            p = category_probs(theta, item, link)
+            assert np.all(p[:, 1:] > 0)
+            np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0)
+            g, h = soft_grad_hess(theta, np.full((2, 4), 0.25), item, link)
+            assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+
     def test_non_monotone_thresholds_rejected(self):
         with pytest.raises(ValueError):
             ItemParams(ModelKind.GRADED, np.array([0.5, -0.5]), np.array([1.0]))
