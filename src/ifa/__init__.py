@@ -37,19 +37,7 @@ from .identify import (
 )
 from .itemfit import ItemFitResult, fit_item
 from .cjmle import CjmleConfig, CjmleFit, fit_cjmle, update_item_block, update_person_block
-from .sampler import (
-    ChainState,
-    GibbsEngine,
-    MhConfig,
-    MhEngine,
-    acceptance_probability,
-    draw_theta_given_latent,
-    gibbs_sweep_probit,
-    mh_step_logit,
-    person_rng,
-    sample_truncated_normal,
-    truncated_normal_interval,
-)
+from .sampler import GibbsEngine, MhEngine, acceptance_probability, truncated_normal_interval
 from .em import (
     EmConfig,
     MarginalFit,
@@ -111,16 +99,9 @@ __all__ = [
     "fit_cjmle",
     "update_item_block",
     "update_person_block",
-    "ChainState",
     "GibbsEngine",
-    "MhConfig",
     "MhEngine",
     "acceptance_probability",
-    "draw_theta_given_latent",
-    "gibbs_sweep_probit",
-    "mh_step_logit",
-    "person_rng",
-    "sample_truncated_normal",
     "truncated_normal_interval",
     "EmConfig",
     "MarginalFit",

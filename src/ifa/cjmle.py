@@ -28,6 +28,7 @@ from .models import (
     log_joint_likelihood,
     person_logliks,
     pointwise_score,
+    response_matrix,
 )
 from .start import spectral_start
 
@@ -60,12 +61,6 @@ class CjmleFit:
     n_iters: int
     flagged_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     flagged_items: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-
-
-def _raw_responses(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.responses
-    return np.asarray(data, dtype=int)
 
 
 def _project_rows(thetas: np.ndarray, radius: float) -> np.ndarray:
@@ -137,7 +132,7 @@ def update_person_block(data, items, thetas, config: CjmleConfig, link: Link = L
     (thetas, flagged_rows) where flagged rows exhausted the line search.
     """
     link = as_link(link)
-    responses = _raw_responses(data)
+    responses = response_matrix(data)
     observed = responses != MISSING
     k = thetas.shape[1]
     radius = config.radius(k)
@@ -207,7 +202,7 @@ def update_item_block(
     failed or the ball constraint is active (separable columns included).
     """
     link = as_link(link)
-    responses = _raw_responses(data)
+    responses = response_matrix(data)
     radius = config.radius(thetas.shape[1])
     new_items = []
     flagged = []

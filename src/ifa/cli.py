@@ -9,7 +9,6 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--truth", default=None, help="truth params JSON (evaluate)")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--c-radius", type=float, default=None)
@@ -87,21 +85,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if not hasattr(args, attr) or attr == "config":
             raise CliError(f"unknown config key {key!r}")
         setattr(args, attr, value)
-
-
-def _resolve_workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        value = args.workers
-    elif os.environ.get("IFA_WORKERS"):
-        try:
-            value = int(os.environ["IFA_WORKERS"])
-        except ValueError as exc:
-            raise CliError("IFA_WORKERS must be an integer") from exc
-    else:
-        value = os.cpu_count() or 1
-    if int(value) < 1:
-        raise CliError("worker count must be positive")
-    return int(value)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -183,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_estimator(args, data, model: ModelKind, link: Link, workers: int):
+def _run_estimator(args, data, model: ModelKind, link: Link):
     """Dispatch to the requested engine.
 
     Returns (items, thetas, correlation, converged, traj_header, traj_rows).
@@ -255,7 +238,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not args.estimator:
         raise CliError("--estimator is required for the fit command")
     out = _out_dir(args)
-    workers = _resolve_workers(args)
     try:
         data = io.read_dataset_csv(args.input)
     except OSError as exc:
@@ -270,7 +252,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         items, thetas, correlation, converged, header, rows = _run_estimator(
-            args, data, model, link, workers
+            args, data, model, link
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -303,7 +285,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "burn_in": args.burn_in,
         "total_iters": args.total_iters,
         "quad_points": args.quad_points,
-        "workers": workers,
     }
     io.write_manifest(
         out / "manifest.json",

@@ -29,9 +29,10 @@ from .models import (
     as_link,
     as_model,
     category_logprobs,
+    response_matrix,
 )
 from .sampler import GibbsEngine, MhEngine
-from .start import default_items
+from .start import default_items, spectral_start
 
 _ESTEP_CELL_BUDGET = 2_000_000
 _LOG_FLOOR = -1e300
@@ -71,10 +72,6 @@ def _require_small_k(k: int) -> None:
             "quadrature engines support k <= 3 (grid size is exponential in k); "
             "use fit_stem or fit_sa_mcmc for higher dimensions"
         )
-
-
-def _raw(data) -> np.ndarray:
-    return data.responses if isinstance(data, Dataset) else np.asarray(data, dtype=int)
 
 
 def _estep_tables(responses, items, grid: QuadratureGrid, link: Link):
@@ -139,7 +136,7 @@ def log_marginal_likelihood(
     _require_small_k(factor_config.k)
     if grid is None:
         grid = build_grid(points_per_dim, factor_config)
-    responses = _raw(data)
+    responses = response_matrix(data)
     _, _, total = _estep_tables(responses, items, grid, link)
     return total
 
@@ -162,7 +159,7 @@ def marginal_gradient(
     _require_small_k(factor_config.k)
     if grid is None:
         grid = build_grid(points_per_dim, factor_config)
-    responses = _raw(data)
+    responses = response_matrix(data)
     counts, _, _ = _estep_tables(responses, items, grid, link)
     masks = _free_masks(items, q)
     parts = []
@@ -182,7 +179,7 @@ def complete_data_gradient(
     """Gradient of the complete-data log-likelihood w.r.t. item parameters,
     stacked over items in internal free coordinates (missing cells skipped)."""
     link = as_link(link)
-    responses = _raw(data)
+    responses = response_matrix(data)
     masks = _free_masks(items, q)
     parts = []
     for j, (item, mask) in enumerate(zip(items, masks)):
@@ -326,7 +323,13 @@ def fit_em_quadrature(
     model = _default_model(data, model)
     if q is not None:
         q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
-    items = list(init_items) if init_items is not None else default_items(data, k, model, link, q)
+    if init_items is not None:
+        items = list(init_items)
+    elif q is None and k > 1:
+        # equal loading columns are a fixed point of EM; the spectral start breaks the tie
+        items = spectral_start(data, k, model, link)[1]
+    else:
+        items = default_items(data, k, model, link, q)
     corr = np.eye(k)
     masks = _free_masks(items, q)
     responses = data.responses

@@ -18,6 +18,7 @@ from .models import ItemParams, Link, ModelKind, soft_grad_hess, soft_loglik
 
 _MIN_GAP = 1e-12
 _ROUNDOFF_GAIN = 1e-13
+_MAX_HALVINGS = 30
 
 
 @dataclass
@@ -112,11 +113,10 @@ def fit_item(
     max_steps=50,
     grad_tol=0.0,
     ball_radius=None,
-    max_halvings=30,
 ) -> ItemFitResult:
     """Maximize the weighted item log-likelihood by damped Newton ascent.
 
-    Each step backtracks over halved step sizes and accepts the first
+    Each step backtracks over up to 30 halved step sizes and accepts the first
     candidate (after ball projection) that strictly increases the objective;
     if none does, the previous iterate is kept and the fit is flagged.  A
     step whose predicted gain g'd/2 is within 1e-13 (|objective| + 1) of
@@ -149,7 +149,7 @@ def fit_item(
         x = to_internal(params, free_mask)
         accepted = False
         alpha = 1.0
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = project_ball(from_internal(x + alpha * direction, params, free_mask), ball_radius)
             cand_obj = soft_loglik(design, weights, cand, link)
             if cand_obj > obj:

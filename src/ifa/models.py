@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -179,6 +179,11 @@ class Dataset:
     @property
     def observed_mask(self) -> np.ndarray:
         return self.responses != MISSING
+
+
+def response_matrix(data) -> np.ndarray:
+    """The (n, J) integer response matrix of a Dataset or of a raw array."""
+    return data.responses if isinstance(data, Dataset) else np.asarray(data, dtype=int)
 
 
 @dataclass
@@ -381,9 +386,7 @@ def person_logliks(responses, thetas, items, link: Link) -> np.ndarray:
 
     responses: Dataset or raw (n, J) integer array with MISSING markers.
     """
-    if isinstance(responses, Dataset):
-        responses = responses.responses
-    responses = np.asarray(responses, dtype=int)
+    responses = response_matrix(responses)
     thetas = _theta_rows(thetas)
     total = np.zeros(responses.shape[0])
     for j, params in enumerate(items):
@@ -401,7 +404,7 @@ def log_joint_likelihood(data, thetas, items, link: Link = Link.LOGIT) -> float:
     data: Dataset or raw response matrix.  Missing cells contribute 0.
     Returns -inf (with a warning) if any observed cell has probability zero.
     """
-    responses = data.responses if isinstance(data, Dataset) else np.asarray(data, dtype=int)
+    responses = response_matrix(data)
     if len(items) != responses.shape[1]:
         raise ValueError("one ItemParams per item is required")
     total = float(np.sum(person_logliks(responses, thetas, items, link)))

@@ -1,69 +1,22 @@
 """Posterior samplers for person parameters.
 
-Two kernels: a blocked Gibbs sweep for probit models (truncated-normal data
-augmentation, then an exact K-variate normal draw with precision
-corr^{-1} + A'A) and an adaptive random-walk Metropolis step for logit
-models.  The per-person functions operate on one response row and a
-ChainState; the engine classes at the bottom run all persons at once and
-back the Monte Carlo / stochastic marginal estimators.
+Two kernels, each run for every person at once: GibbsEngine, a blocked
+Gibbs sweep for probit models (truncated-normal data augmentation, then an
+exact K-variate normal draw with precision corr^{-1} + A'A over each
+person's observed items), and MhEngine, an adaptive random-walk Metropolis
+step for logit models.  Every person is one chain, and all chains draw from
+the one generator passed in.  The engines back the Monte Carlo, stochastic
+EM and stochastic-approximation marginal estimators.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .models import (
-    MISSING,
-    Dataset,
-    FactorConfig,
-    ItemParams,
-    Link,
-    ModelKind,
-    observed_logprobs,
-    person_logliks,
-)
+from .models import Dataset, FactorConfig, ItemParams, Link, ModelKind, person_logliks
 
 _TAIL_CUT = 6.0  # inverse-CDF sampling below, exponential rejection beyond
-
-
-@dataclass
-class ChainState:
-    """State of one person's MCMC chain."""
-
-    theta: np.ndarray
-    latent_responses: np.ndarray | None
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-
-
-def person_rng(master_seed: int, person_index: int) -> np.random.Generator:
-    """Independent stream for one person, derived from (master seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, person_index)))
-
-
-@dataclass
-class MhConfig:
-    """Random-walk Metropolis settings.
-
-    proposal_scale defaults to 2.4/sqrt(K).  With adapt=True the scale is
-    tuned by Robbins-Monro on the log scale toward the target acceptance
-    rate; callers freeze adaptation (adapt=False) after burn-in.
-    """
-
-    proposal_scale: float | None = None
-    adapt: bool = False
-    target_rate: float = 0.234
-    steps_adapted: int = 0
-
-    def scale_for(self, k: int) -> float:
-        if self.proposal_scale is None:
-            self.proposal_scale = 2.4 / np.sqrt(k)
-        return self.proposal_scale
 
 
 def acceptance_probability(log_ratio) -> np.ndarray:
@@ -136,16 +89,6 @@ def truncated_normal_interval(mean, lower, upper, rng):
     return mean + z
 
 
-def sample_truncated_normal(mean, positive_side: bool, rng) -> float:
-    """One draw from N(mean, 1) truncated to [0, inf) or (-inf, 0]."""
-    mean_arr = np.asarray([float(mean)])
-    if positive_side:
-        draw = truncated_normal_interval(mean_arr, 0.0, np.inf, rng)
-    else:
-        draw = truncated_normal_interval(mean_arr, -np.inf, 0.0, rng)
-    return float(draw[0])
-
-
 def _latent_bounds(params: ItemParams, y):
     """Per-response truncation interval for the centered probit latent."""
     y = np.asarray(y, dtype=int)
@@ -161,93 +104,6 @@ def _latent_bounds(params: ItemParams, y):
         hi_map = np.concatenate([[np.inf], -thr])
         return lo_map[y], hi_map[y]
     raise ValueError("probit Gibbs supports binary and graded items only")
-
-
-def draw_theta_given_latent(latents, y_row, items, factor_config: FactorConfig, rng) -> np.ndarray:
-    """Step-2 draw: theta from its exact conditional normal given the latent
-    responses, precision corr^{-1} + A'A over the observed items."""
-    y_row = np.asarray(y_row, dtype=int)
-    k = factor_config.k
-    rows = []
-    resid = []
-    for j, params in enumerate(items):
-        if y_row[j] == MISSING:
-            continue
-        offset = params.intercepts[0] if params.kind is ModelKind.BINARY else 0.0
-        rows.append(params.loadings)
-        resid.append(latents[j] - offset)
-    prior_prec = np.linalg.inv(factor_config.correlation)
-    if rows:
-        a = np.vstack(rows)
-        prec = prior_prec + a.T @ a
-        mean_vec = np.linalg.solve(prec, a.T @ np.asarray(resid))
-    else:
-        prec = prior_prec
-        mean_vec = np.zeros(k)
-    chol = np.linalg.cholesky(prec)
-    z = rng.standard_normal(k)
-    return mean_vec + sla.solve_triangular(chol.T, z, lower=False)
-
-
-def gibbs_sweep_probit(y_row, items, factor_config: FactorConfig, state: ChainState) -> ChainState:
-    """One blocked Gibbs sweep for a single person under the probit link.
-
-    Step 1 redraws each observed item's latent response from its truncated
-    normal; step 2 redraws theta exactly from the K-variate normal with
-    precision corr^{-1} + A'A built from the observed items.
-    """
-    y_row = np.asarray(y_row, dtype=int)
-    if len(items) != y_row.size:
-        raise ValueError("one ItemParams per response is required")
-    rng = state.rng
-    theta = state.theta
-    latents = np.full(y_row.size, np.nan)
-    for j, params in enumerate(items):
-        if y_row[j] == MISSING:
-            continue
-        lower, upper = _latent_bounds(params, y_row[j : j + 1])
-        mean = params.loadings @ theta
-        offset = params.intercepts[0] if params.kind is ModelKind.BINARY else 0.0
-        draw = truncated_normal_interval(np.asarray([mean + offset]), lower, upper, rng)
-        latents[j] = draw[0]
-    theta_new = draw_theta_given_latent(latents, y_row, items, factor_config, rng)
-    return ChainState(theta=theta_new, latent_responses=latents, rng=rng)
-
-
-def mh_step_logit(
-    y_row,
-    items,
-    factor_config: FactorConfig,
-    state: ChainState,
-    config: MhConfig,
-    link: Link = Link.LOGIT,
-) -> ChainState:
-    """One random-walk Metropolis update of theta for a single person."""
-    y_row = np.asarray(y_row, dtype=int)
-    k = factor_config.k
-    rng = state.rng
-    scale = config.scale_for(k)
-    prior_prec = np.linalg.inv(factor_config.correlation)
-
-    def logpost(theta):
-        total = -0.5 * theta @ prior_prec @ theta
-        for j, params in enumerate(items):
-            if y_row[j] == MISSING:
-                continue
-            total += float(observed_logprobs(y_row[j : j + 1], theta[None, :], params, link)[0])
-        return total
-
-    current = logpost(state.theta)
-    proposal = state.theta + scale * rng.standard_normal(k)
-    delta = logpost(proposal) - current
-    accept_prob = float(acceptance_probability(delta))
-    accepted = rng.random() < accept_prob
-    theta_new = proposal if accepted else state.theta.copy()
-    if config.adapt:
-        config.steps_adapted += 1
-        gain = 1.0 / (10.0 + config.steps_adapted) ** 0.6
-        config.proposal_scale = float(scale * np.exp(gain * (accept_prob - config.target_rate)))
-    return ChainState(theta=theta_new, latent_responses=state.latent_responses, rng=rng)
 
 
 class GibbsEngine:

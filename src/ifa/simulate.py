@@ -8,7 +8,7 @@ per-factor correlation of recovered factor scores.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

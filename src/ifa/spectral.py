@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .identify import align_loadings
-from .models import MISSING, Dataset, Link, as_link
+from .models import Dataset, Link, as_link
 
 _PROB_CLIP = 1e-4
 

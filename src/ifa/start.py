@@ -7,6 +7,7 @@ from .models import Dataset, ItemParams, Link, ModelKind, as_link, as_model
 from .spectral import fit_svd_binary, fit_svd_ordinal
 
 _P_CLIP = 1e-3
+_START_LOADING = 0.5
 
 
 def freq_intercepts(data: Dataset, model: ModelKind, link: Link) -> list[np.ndarray]:
@@ -43,14 +44,13 @@ def default_items(
     model: ModelKind,
     link: Link,
     q: np.ndarray | None = None,
-    loading_value: float = 0.5,
 ) -> list[ItemParams]:
     """Frequency intercepts with constant positive loadings on free entries."""
     model = as_model(model)
     intercepts = freq_intercepts(data, model, link)
     items = []
     for j in range(data.n_items):
-        loadings = np.full(k, loading_value)
+        loadings = np.full(k, _START_LOADING)
         if q is not None:
             loadings = loadings * q[j]
         items.append(ItemParams(model, intercepts[j], loadings))

@@ -190,22 +190,26 @@ class TestFitCommand:
         assert code == 2
         assert "esimator" in capsys.readouterr().err
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch, capsys):
+    def test_workers_option_removed(self, tmp_path, monkeypatch, capsys):
+        # nothing in a fit depends on the core count, so neither may the manifest
         panel = simulate_panel(tmp_path)
-        monkeypatch.setenv("IFA_WORKERS", "not_a_number")
-        code = run(
-            "--command", "fit", "--estimator", "svd", "--k", 1,
-            "--input", panel / "data.csv", "--output-dir", tmp_path / "w1",
-        )
-        assert code == 2
-        assert "IFA_WORKERS" in capsys.readouterr().err
-        monkeypatch.setenv("IFA_WORKERS", "2")
-        code = run(
-            "--command", "fit", "--estimator", "svd", "--k", 1,
-            "--input", panel / "data.csv", "--output-dir", tmp_path / "w2",
-        )
-        assert code == 0
-        assert read_json(tmp_path / "w2" / "manifest.json")["config"]["workers"] == 2
+        fit = ("--command", "fit", "--estimator", "svd", "--k", 1, "--input", panel / "data.csv")
+        monkeypatch.delenv("IFA_WORKERS", raising=False)
+        assert run(*fit, "--output-dir", tmp_path / "unset") == 0
+        monkeypatch.setenv("IFA_WORKERS", "7")
+        assert run(*fit, "--output-dir", tmp_path / "env") == 0
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert run(*fit, "--output-dir", tmp_path / "cores") == 0
+        runs = ("unset", "env", "cores")
+        assert len({(tmp_path / d / "manifest.json").read_bytes() for d in runs}) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(*fit, "--output-dir", tmp_path / "flag", "--workers", 2)
+        assert exc.value.code == 2
+        config = tmp_path / "config.json"
+        write_json(config, {"workers": 2})
+        capsys.readouterr()
+        assert run(*fit, "--output-dir", tmp_path / "config", "--config", config) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

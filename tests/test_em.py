@@ -40,6 +40,7 @@ from ifa.models import (
     Link,
     ModelKind,
     category_logprobs,
+    loadings_matrix,
     log_joint_likelihood,
 )
 from ifa.simulate import SimSpec, simulate
@@ -183,6 +184,17 @@ class TestQuadratureEm:
         trail = fit.info["loglik_trail"]
         floor = -1e-9 * (np.abs(trail[:-1]) + 1.0)
         assert np.all(np.diff(trail) >= floor)
+
+    def test_two_factors_leave_the_symmetric_start(self):
+        # equal loading columns are a fixed point of exploratory EM, so a start
+        # with them stalls below the truth's log-likelihood
+        spec = SimSpec(2000, 20, k=2, seed=7)
+        data, _, items = simulate(spec)
+        fit = fit_em_quadrature(data, 2)
+        truth = log_marginal_likelihood(data, items, spec.factor_config())
+        assert fit.converged and fit.marginal_loglik >= truth
+        a = loadings_matrix(fit.items)
+        assert np.max(np.abs(a[:, 0] - a[:, 1])) > 0.1
 
     def test_recovers_generating_parameters(self, benchmark_panel):
         data, _, items, fit = benchmark_panel

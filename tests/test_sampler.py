@@ -2,7 +2,10 @@
 
 Oracle: a 2001-point quadrature evaluation of each single-item posterior,
 written directly from normal-pdf times response-probability algebra with
-scipy primitives, independent of the sampler and model modules.
+scipy primitives, independent of the sampler and model modules.  The
+engines run one chain per response row, so N identical rows give N
+independent chains; every tolerance below is checked against the Monte
+Carlo standard error (SE) of its estimate.
 """
 from __future__ import annotations
 
@@ -11,20 +14,9 @@ import pytest
 from scipy import stats
 from scipy.special import expit, ndtr
 
+from ifa import sampler
 from ifa.models import MISSING, Dataset, FactorConfig, ItemParams, Link, ModelKind
-from ifa.sampler import (
-    ChainState,
-    GibbsEngine,
-    MhConfig,
-    MhEngine,
-    acceptance_probability,
-    draw_theta_given_latent,
-    gibbs_sweep_probit,
-    mh_step_logit,
-    person_rng,
-    sample_truncated_normal,
-    truncated_normal_interval,
-)
+from ifa.sampler import GibbsEngine, MhEngine, acceptance_probability, truncated_normal_interval
 
 HALF_NORMAL_MEAN = 0.7978845608028654  # sqrt(2 / pi)
 
@@ -42,10 +34,25 @@ def quadrature_posterior_mean(y: int, intercept: float, loading: float, link: st
     return float(np.sum(grid * weight) / np.sum(weight))
 
 
+def spy_latent_draws(monkeypatch) -> list:
+    """Record the draws of every truncated-normal call a sweep makes."""
+    calls = []
+
+    def spy(mean, lower, upper, rng):
+        draws = truncated_normal_interval(mean, lower, upper, rng)
+        calls.append(draws)
+        return draws
+
+    monkeypatch.setattr(sampler, "truncated_normal_interval", spy)
+    return calls
+
+
 class TestTruncatedNormal:
     def test_half_normal_mean(self):
+        # half-normal sd sqrt(1 - 2/pi) = 0.603: SE = 0.603 / sqrt(1e5) = 0.0019,
+        # so the 0.01 tolerance is 5.2 SE
         rng = np.random.default_rng(0)
-        draws = np.array([sample_truncated_normal(0.0, True, rng) for _ in range(10**5)])
+        draws = truncated_normal_interval(np.zeros(10**5), 0.0, np.inf, rng)
         assert np.all(draws >= 0)
         assert abs(draws.mean() - HALF_NORMAL_MEAN) < 0.01
 
@@ -90,50 +97,45 @@ class TestTruncatedNormal:
 
 
 class TestGibbsSweep:
-    def test_no_items_samples_prior(self):
+    def test_zero_loadings_sample_prior(self):
+        # zero loadings make theta independent of the latents, so one sweep
+        # draws every row from the prior N(0, corr).  The SE of a sample
+        # variance is sqrt(2 / n) = 0.010 at n = 2e4 (0.05 is 5 SE; 1e4 rows
+        # would give only 3.5 SE); a covariance has sqrt(1.25 / n) = 0.008.
         corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-        config = FactorConfig(2, corr)
-        state = ChainState(np.zeros(2), None, person_rng(0, 0))
-        draws = np.empty((10**4, 2))
-        y_row = np.zeros(0, dtype=int)
-        for t in range(draws.shape[0]):
-            state = gibbs_sweep_probit(y_row, [], config, state)
-            draws[t] = state.theta
+        n = 2 * 10**4
+        data = Dataset(np.ones((n, 2), dtype=int), np.full(2, 2))
+        items = [ItemParams(ModelKind.BINARY, np.array([0.3]), np.zeros(2)) for _ in range(2)]
+        engine = GibbsEngine(data, items, FactorConfig(2, corr))
+        draws = engine.sweep(np.zeros((n, 2)), np.random.default_rng(0))
         np.testing.assert_allclose(np.cov(draws.T), corr, atol=0.05)
 
-    def test_k1_binary_posterior_mean_vs_quadrature(self):
-        item = ItemParams(ModelKind.BINARY, np.array([0.4]), np.array([1.1]))
-        config = FactorConfig(1)
-        state = ChainState(np.zeros(1), None, person_rng(7, 0))
-        y_row = np.array([1])
-        total, n = 0.0, 10**5
-        for t in range(n + 100):
-            state = gibbs_sweep_probit(y_row, [item], config, state)
-            if t >= 100:
-                total += state.theta[0]
-        oracle = quadrature_posterior_mean(1, 0.4, 1.1, "probit")
-        assert abs(total / n - oracle) < 0.01
-
-    def test_theta_conditional_is_exact(self):
-        # fixed latents: the Step-2 draw must match its closed-form normal law
+    def test_theta_conditional_is_exact(self, monkeypatch):
+        # fixed latents: the theta draw must match its closed-form normal law.
+        # The tolerances are 3 SE whatever the size; 1e5 rows give 1e5
+        # independent draws from one sweep
         corr = np.array([[1.0, 0.3], [0.3, 1.0]])
-        config = FactorConfig(2, corr)
         items = [
             ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([1.0, 0.4])),
             ItemParams(ModelKind.BINARY, np.array([-0.1]), np.array([0.6, 0.9])),
         ]
         latents = np.array([0.8, -0.3])
-        y_row = np.array([1, 0])
+        n = 10**5
+        data = Dataset(np.tile([1, 0], (n, 1)), np.full(2, 2))
+        engine = GibbsEngine(data, items, FactorConfig(2, corr))
+        fixed = iter(latents)  # the sweep draws the latents column by column
+        monkeypatch.setattr(
+            sampler,
+            "truncated_normal_interval",
+            lambda mean, lower, upper, rng: np.full(mean.shape, next(fixed)),
+        )
+        draws = engine.sweep(np.zeros((n, 2)), np.random.default_rng(11))
+        assert next(fixed, None) is None
         a = np.array([[1.0, 0.4], [0.6, 0.9]])
         resid = latents - np.array([0.2, -0.1])
         prec = np.linalg.inv(corr) + a.T @ a
         cov = np.linalg.inv(prec)
         mean = cov @ (a.T @ resid)
-        rng = np.random.default_rng(11)
-        n = 10**5
-        draws = np.vstack(
-            [draw_theta_given_latent(latents, y_row, items, config, rng) for _ in range(n)]
-        )
         mean_se = np.sqrt(np.diag(cov) / n)
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - mean), 3 * mean_se)
         cov_hat = np.cov(draws.T)
@@ -142,93 +144,116 @@ class TestGibbsSweep:
         )
         np.testing.assert_array_less(np.abs(cov_hat - cov), 3 * cov_se)
 
-    def test_binary_latent_sign_consistency(self):
+    def test_binary_latent_sign_consistency(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        responses = rng.integers(0, 2, size=(200, 3))
+        responses[:, 1:][rng.random((200, 2)) < 0.4] = MISSING
+        data = Dataset(responses, np.full(3, 2))
         items = [
             ItemParams(ModelKind.BINARY, np.array([0.3]), np.array([0.8])),
             ItemParams(ModelKind.BINARY, np.array([-0.4]), np.array([1.2])),
             ItemParams(ModelKind.BINARY, np.array([0.0]), np.array([0.6])),
         ]
-        config = FactorConfig(1)
-        state = ChainState(np.zeros(1), None, person_rng(2, 5))
-        y_row = np.array([1, 0, MISSING])
+        engine = GibbsEngine(data, items, FactorConfig(1))
+        calls = spy_latent_draws(monkeypatch)
+        thetas = np.zeros((200, 1))
         for _ in range(50):
-            state = gibbs_sweep_probit(y_row, items, config, state)
-            latent = state.latent_responses
-            assert latent[0] >= 0.0
-            assert latent[1] <= 0.0
-            assert np.isnan(latent[2])
+            thetas = engine.sweep(thetas, rng)
+        assert len(calls) == 50 * 3
+        for t, draws in enumerate(calls):
+            y = responses[:, t % 3]
+            y = y[y != MISSING]  # one draw per observed cell, none for missing ones
+            assert draws.shape == y.shape
+            assert np.all(draws[y == 1] >= 0.0)
+            assert np.all(draws[y == 0] <= 0.0)
 
-    def test_graded_latent_interval(self):
+    def test_graded_latent_interval(self, monkeypatch):
         thresholds = np.array([-0.5, 0.7])
         item = ItemParams(ModelKind.GRADED, thresholds, np.array([0.9]))
-        config = FactorConfig(1)
+        responses = np.repeat([0, 1, 2], 20)[:, None]
+        engine = GibbsEngine(Dataset(responses, np.array([3])), [item], FactorConfig(1))
+        calls = spy_latent_draws(monkeypatch)
+        rng = np.random.default_rng(3)
+        thetas = np.zeros((60, 1))
+        for _ in range(200):
+            thetas = engine.sweep(thetas, rng)
+        assert len(calls) == 200
         bounds = {0: (0.5, np.inf), 1: (-0.7, 0.5), 2: (-np.inf, -0.7)}
-        for category, (lo, hi) in bounds.items():
-            state = ChainState(np.zeros(1), None, person_rng(3, category))
-            for _ in range(200):
-                state = gibbs_sweep_probit(np.array([category]), [item], config, state)
-                assert lo <= state.latent_responses[0] <= hi
+        for draws in calls:
+            for category, (lo, hi) in bounds.items():
+                cell = draws[responses[:, 0] == category]
+                assert np.all((lo <= cell) & (cell <= hi))
 
     def test_nonprobit_item_rejected(self):
         item = ItemParams(ModelKind.GPC, np.array([0.1, 0.2]), np.array([1.0]))
-        state = ChainState(np.zeros(1), None, person_rng(0, 0))
+        data = Dataset(np.array([[1]]), np.array([3]))
         with pytest.raises(ValueError):
-            gibbs_sweep_probit(np.array([1]), [item], FactorConfig(1), state)
+            GibbsEngine(data, [item], FactorConfig(1))
 
     def test_equal_seeds_identical_chains(self):
-        item = ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([1.0]))
-        config = FactorConfig(1)
-        trails = []
+        data = Dataset(np.ones((40, 1), dtype=int), np.array([2]))
+        items = [ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([1.0]))]
+        outs = []
         for _ in range(2):
-            state = ChainState(np.zeros(1), None, person_rng(5, 3))
-            trail = []
+            engine = GibbsEngine(data, items, FactorConfig(1))
+            rng = np.random.default_rng(5)
+            thetas = np.zeros((40, 1))
             for _ in range(50):
-                state = gibbs_sweep_probit(np.array([1]), [item], config, state)
-                trail.append(state.theta[0])
-            trails.append(np.array(trail))
-        np.testing.assert_array_equal(trails[0], trails[1])
+                thetas = engine.sweep(thetas, rng)
+            outs.append(thetas)
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 class TestMhStep:
     def test_tiny_scale_acceptance_near_one(self):
+        n = 1000
+        data = Dataset(np.ones((n, 1), dtype=int), np.array([2]))
         item = ItemParams(ModelKind.BINARY, np.array([0.3]), np.array([1.0]))
-        components = FactorConfig(1)
-        config = MhConfig(proposal_scale=1e-6)
-        state = ChainState(np.zeros(1), None, person_rng(8, 0))
-        accepted = 0
-        for _ in range(10**4):
-            new = mh_step_logit(np.array([1]), [item], components, state, config)
-            accepted += new.theta[0] != state.theta[0]
-            state = new
-        assert accepted / 10**4 > 0.99
+        engine = MhEngine(data, [item], FactorConfig(1), Link.LOGIT, scale=1e-6)
+        rng = np.random.default_rng(8)
+        thetas = np.zeros((n, 1))
+        logpost = engine.logpost(thetas)
+        for _ in range(10):
+            new, logpost = engine.step(thetas, logpost, rng)
+            assert engine.last_rate > 0.99
+            assert np.mean(new != thetas) > 0.99
+            thetas = new
 
     def test_k1_posterior_mean_vs_quadrature(self):
+        # the final states of n independent chains: posterior sd 0.875 gives
+        # SE = 0.875 / sqrt(4e4) = 0.0044, so the 0.02 tolerance is 4.6 SE
+        n = 4 * 10**4
+        data = Dataset(np.zeros((n, 1), dtype=int), np.array([2]))
         item = ItemParams(ModelKind.BINARY, np.array([-0.2]), np.array([1.3]))
-        components = FactorConfig(1)
-        state = ChainState(np.zeros(1), None, person_rng(9, 0))
-        config = MhConfig(adapt=True)
-        y_row = np.array([0])
-        for _ in range(2000):  # adapt during burn-in, then freeze
-            state = mh_step_logit(y_row, [item], components, state, config)
-        config.adapt = False
-        total, n = 0.0, 10**5
-        for _ in range(n):
-            state = mh_step_logit(y_row, [item], components, state, config)
-            total += state.theta[0]
+        engine = MhEngine(data, [item], FactorConfig(1), Link.LOGIT)
+        rng = np.random.default_rng(9)
+        thetas = np.zeros((n, 1))
+        logpost = engine.logpost(thetas)
+        # adapt during burn-in, then freeze; the Robbins-Monro gain averages
+        # the acceptance rate of all chains, so the scale settles within 500 steps
+        for _ in range(500):
+            thetas, logpost = engine.step(thetas, logpost, rng, adapt=True)
+        scale = engine.scale
+        for _ in range(100):
+            thetas, logpost = engine.step(thetas, logpost, rng)
+        assert engine.scale == scale
         oracle = quadrature_posterior_mean(0, -0.2, 1.3, "logit")
-        assert abs(total / n - oracle) < 0.02
+        assert abs(thetas.mean() - oracle) < 0.02
 
     def test_flat_likelihood_recovers_prior(self):
-        # zero loading, zero intercept: the response carries no information
+        # zero loading, zero intercept: the response carries no information.
+        # The final states of n independent chains started at 0: the SE of a
+        # sample variance is sqrt(2 / n) = 0.010 at n = 2e4, so 0.05 is 5 SE
+        n = 2 * 10**4
+        data = Dataset(np.ones((n, 1), dtype=int), np.array([2]))
         item = ItemParams(ModelKind.BINARY, np.array([0.0]), np.array([0.0]))
-        components = FactorConfig(1)
-        state = ChainState(np.zeros(1), None, person_rng(10, 0))
-        config = MhConfig()
-        draws = np.empty(10**5)
-        for t in range(draws.size):
-            state = mh_step_logit(np.array([1]), [item], components, state, config)
-            draws[t] = state.theta[0]
-        assert abs(draws.var() - 1.0) < 0.05
+        engine = MhEngine(data, [item], FactorConfig(1), Link.LOGIT)
+        rng = np.random.default_rng(10)
+        thetas = np.zeros((n, 1))
+        logpost = engine.logpost(thetas)
+        for _ in range(200):
+            thetas, logpost = engine.step(thetas, logpost, rng)
+        assert abs(thetas.var() - 1.0) < 0.05
 
     def test_detailed_balance_on_discrete_target(self):
         target = np.array([0.2, 0.5, 0.3])
