@@ -1,10 +1,11 @@
 """Constrained joint maximum likelihood by alternating block maximization.
 
 Person and item blocks are updated in turn with a few projected Newton steps
-each; both parameter groups live in Euclidean balls of radius C (person
-factor vectors, and full item vectors of intercepts plus loadings), which
-keeps extreme response patterns from driving estimates to infinity.  After
-convergence the factor scores are standardized to mean zero and unit
+each, all rows (or all binary items) of a block solved together by one
+batched kernel; both parameter groups live in Euclidean balls of radius C
+(person factor vectors, and full item vectors of intercepts plus loadings),
+which keeps extreme response patterns from driving estimates to infinity.
+After convergence the factor scores are standardized to mean zero and unit
 variance per factor, with the compensating transform applied to the items.
 """
 from __future__ import annotations
@@ -13,15 +14,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .identify import check_q_matrix, standardize_factors
-from .itemfit import fit_item, project_ball
+from .itemfit import _MAX_HALVINGS, _ROUNDOFF_GAIN, fit_item, project_ball
 from .models import (
     MISSING,
     Dataset,
     ItemParams,
     Link,
     ModelKind,
+    _log_pdf,
     as_link,
     as_model,
     loadings_matrix,
@@ -31,6 +34,8 @@ from .models import (
     response_matrix,
 )
 from .start import spectral_start
+
+_GRAD_TOL = 1e-6
 
 
 @dataclass
@@ -73,119 +78,159 @@ def _all_binary(items) -> bool:
     return all(item.kind is ModelKind.BINARY for item in items)
 
 
-def _binary_parts(items):
-    a = loadings_matrix(items)
-    d = np.array([item.intercepts[0] for item in items])
-    return a, d
+def _binary_cells(responses, design, offset, link: Link):
+    """_newton_block callback for B binary problems over (B, M) responses.
+
+    Cell (b, m) has the predictor x_b . design_m + offset_m.  The work arrays
+    are reused, so each call overwrites what the previous one returned.
+    """
+    down = np.ascontiguousarray(responses != 1)  # code 0, and missing cells
+    observed = np.ascontiguousarray(responses != MISSING)
+    work = np.empty((3,) + responses.shape)
+
+    def cells(rows, x, derivs=False):
+        z, s, c = work[:, : len(x)]
+        np.matmul(design, x.T, out=z.T)  # transposed: far faster in OpenBLAS
+        if offset is not None:
+            z += offset
+        dn, obs = down[rows], observed[rows]
+        if link is Link.PROBIT:
+            z[dn] *= -1.0  # sz = sign * z, sign -1 at code 0
+            if derivs:  # lam = G'(sz) / G(sz): score sign lam, curvature -lam (sz + lam)
+                lam = np.exp(_log_pdf(z, link) - special.log_ndtr(z))
+                np.multiply(-lam, z + lam, out=c)
+                s[...] = np.where(dn, -lam, lam)
+            else:
+                special.log_ndtr(z, out=s)
+        elif derivs:  # score y - G(z), curvature G(z) (G(z) - 1)
+            special.expit(z, out=c)
+            np.subtract(1.0, c, out=s)
+            s -= dn
+            c *= np.subtract(c, 1.0, out=z)
+        else:  # log G(z) = min(z, 0) - log1p(exp(-|z|)), less z at code 0
+            np.log1p(np.exp(np.negative(np.abs(z, out=s), out=s), out=s), out=s)
+            np.subtract(np.minimum(z, 0.0, out=c), s, out=s)
+            s -= np.multiply(z, dn, out=c)
+        s *= obs
+        if not derivs:
+            return s.sum(axis=1)
+        c *= obs
+        return s, c
+
+    return cells
 
 
-def _binary_cell_logliks(z, y01, link: Link):
-    sign = np.where(y01 == 1, 1.0, -1.0)
-    return link.log_cdf(sign * z)
+def _person_cells(responses, items, link: Link):
+    """The same callback for person rows of any item kind, item by item."""
+
+    def cells(rows, x, derivs=False):
+        if not derivs:
+            return person_logliks(responses[rows], x, items, link)
+        s, c = np.zeros((2, len(x), len(items)))
+        for j, item in enumerate(items):
+            y = responses[rows, j]
+            if (mask := y != MISSING).any():
+                s[mask, j], c[mask, j] = pointwise_score(y[mask], x[mask], item, link)
+        return s, c
+
+    return cells
 
 
-def _binary_scores(z, y01, link: Link):
-    """Score and curvature w.r.t. the linear predictor, whole matrix at once."""
-    sign = np.where(y01 == 1, 1.0, -1.0)
-    if link is Link.LOGIT:
-        p = link.cdf(z)
-        return y01 - p, -p * (1.0 - p)
-    sz = sign * z
-    lam = np.exp(-0.5 * sz * sz - 0.5 * np.log(2.0 * np.pi) - link.log_cdf(sz))
-    return sign * lam, -lam * (sz + lam)
+def _newton_block(x, design, cells, radius, max_steps, free=None):
+    """Projected Newton ascent on B independent problems, the rows of x.
 
+    Problem b maximizes its objective over x_b in the ball of the given
+    radius.  cells(rows, x) returns each problem's objective, and
+    cells(rows, x, True) the score and curvature of each cell in its
+    predictor x_b . design_m, as (rows, M) arrays that are zero at missing
+    cells; rows is an index array, or slice(None) while all are active.
 
-def _row_objective(responses, thetas, items, link: Link, observed) -> np.ndarray:
-    if _all_binary(items):
-        a, d = _binary_parts(items)
-        z = thetas @ a.T + d[None, :]
-        cell = _binary_cell_logliks(z, responses == 1, link)
-        return np.sum(np.where(observed, cell, 0.0), axis=1)
-    return person_logliks(responses, thetas, items, link)
+    A step backtracks over up to 30 halvings to the first radially projected
+    candidate that strictly increases the objective, whose value is then
+    carried.  On the ball with an outward gradient, the radial part of the
+    gradient and of the step is removed, and the projected gradient replaces
+    a step that then does not ascend.  A problem stops, converged, when its
+    (projected) gradient max-norm is below 1e-6 or its predicted gain g'd/2
+    is at most 1e-13 (|objective| + 1), as in fit_item, and stops, failed,
+    when no halving improves it.  Coordinates that free (B, P) masks out
+    keep their values.  Returns (x, failed).
+    """
+    x = _project_rows(np.array(x, dtype=float), radius)
+    n_problems, p = x.shape
+    outer = (design[:, :, None] * design[:, None, :]).reshape(len(design), p * p)
+    eye = np.eye(p, dtype=bool)
+    free = np.ones(x.shape, dtype=bool) if free is None else free
+    obj = cells(slice(None), x)
+    failed = np.zeros(n_problems, dtype=bool)
+    active = np.arange(n_problems)
 
+    def rows_of(idx):  # a view, not a copy, while every problem takes part
+        return slice(None) if idx.size == n_problems else idx
 
-def _score_matrices(responses, thetas, items, link: Link, observed):
-    """(N, J) score and curvature matrices, zero at missing cells."""
-    n, j = responses.shape
-    if _all_binary(items):
-        a, d = _binary_parts(items)
-        z = thetas @ a.T + d[None, :]
-        s, c = _binary_scores(z, responses == 1, link)
-        return np.where(observed, s, 0.0), np.where(observed, c, 0.0)
-    s = np.zeros((n, j))
-    c = np.zeros((n, j))
-    for idx, item in enumerate(items):
-        mask = observed[:, idx]
-        if not mask.any():
-            continue
-        sj, cj = pointwise_score(responses[mask, idx], thetas[mask], item, link)
-        s[mask, idx] = sj
-        c[mask, idx] = cj
-    return s, c
+    for _ in range(max_steps):
+        xa = x[rows_of(active)]
+        s, c = cells(rows_of(active), xa, True)
+        fr = free[active]
+        # s @ design and c @ outer, written transposed so that OpenBLAS does not
+        # copy s and c into its own buffers, whose pages then stay resident
+        grad = (design.T @ s.T).T * fr
+        damp = -(outer.T @ c.T).T.reshape(-1, p, p) * (fr[:, :, None] & fr[:, None, :])
+        ridge = 1e-9 * (1.0 + np.abs(damp[:, eye]).max(axis=1))
+        damp[:, eye] += ridge[:, None] + ~fr  # identity curvature where masked
+        try:
+            step = np.linalg.solve(damp, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = grad.copy()
+        norms = np.linalg.norm(xa, axis=1)
+        pinned = (norms >= radius * (1.0 - 1e-9)) & (np.einsum("ij,ij->i", grad, xa) > 0)
+        if pinned.any():
+            u = xa[pinned] * fr[pinned]
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            for v in (grad, step):
+                v[pinned] -= np.einsum("ij,ij->i", v[pinned], u)[:, None] * u
+        downhill = np.einsum("ij,ij->i", step, grad) <= 0
+        step[downhill] = grad[downhill]
+        gain = 0.5 * np.einsum("ij,ij->i", step, grad)
+        roundoff = _ROUNDOFF_GAIN * (np.abs(obj[active]) + 1.0)
+        moving = (np.abs(grad).max(axis=1) >= _GRAD_TOL) & (gain > roundoff)
+        active, step = active[moving], step[moving]
+        pending = np.arange(active.size)
+        for halving in range(_MAX_HALVINGS):
+            if pending.size == 0:
+                break
+            idx = active[pending]
+            cand = _project_rows(x[idx] + 0.5**halving * step[pending], radius)
+            cand_obj = cells(rows_of(idx), cand)
+            better = cand_obj > obj[idx]
+            x[idx[better]], obj[idx[better]] = cand[better], cand_obj[better]
+            pending = pending[~better]
+        failed[active[pending]] = True
+        active = np.delete(active, pending)
+        if active.size == 0:
+            break
+    return x, failed
 
 
 def update_person_block(data, items, thetas, config: CjmleConfig, link: Link = Link.LOGIT):
     """Projected Newton ascent on every person's row log-likelihood.
 
-    Rows are updated independently; each inner step backtracks per row and
-    keeps the previous iterate when no halved step improves.  Returns
-    (thetas, flagged_rows) where flagged rows exhausted the line search.
+    All rows are one _newton_block solve, with the loadings as the design and
+    at most config.inner_steps steps.  Returns (thetas, flagged_rows); a
+    flagged row's line search failed at a step whose predicted gain was above
+    round-off, and the row kept its previous iterate.  A row on the ball
+    steps along it and is not flagged for being there.
     """
     link = as_link(link)
     responses = response_matrix(data)
-    observed = responses != MISSING
-    k = thetas.shape[1]
-    radius = config.radius(k)
-    thetas = _project_rows(np.array(thetas, dtype=float), radius)
     a = loadings_matrix(items)
-    flagged = np.zeros(thetas.shape[0], dtype=bool)
-    for _ in range(config.inner_steps):
-        s, c = _score_matrices(responses, thetas, items, link, observed)
-        grad = s @ a
-        hess = np.einsum("ij,ja,jb->iab", c, a, a)
-        damp = -hess
-        ridge = 1e-9 * (1.0 + np.abs(np.diagonal(damp, axis1=1, axis2=2)).max(axis=1))
-        damp[:, np.arange(k), np.arange(k)] += ridge[:, None]
-        try:
-            direction = np.linalg.solve(damp, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            direction = grad.copy()
-        ascent = np.einsum("ik,ik->i", direction, grad)
-        bad = ascent <= 0
-        direction[bad] = grad[bad]
-        # rows with grad below ~1e-6 are resolved to float rounding: a Newton
-        # step there improves the objective by less than machine epsilon, so
-        # the search cannot succeed and the row is left alone, not flagged
-        moving = (np.einsum("ik,ik->i", direction, grad) > 0) & (
-            np.abs(grad).max(axis=1) > 1e-6
-        )
-        active = np.where(moving)[0]
-        if active.size == 0:
-            break
-        obj = _row_objective(responses, thetas, items, link, observed)
-        alpha = np.ones(active.size)
-        remaining = active
-        improved_any = False
-        for _ in range(30):
-            cand = _project_rows(
-                thetas[remaining] + alpha[:, None] * direction[remaining], radius
-            )
-            cand_obj = _row_objective(
-                responses[remaining], cand, items, link, observed[remaining]
-            )
-            better = cand_obj > obj[remaining]
-            if better.any():
-                rows = remaining[better]
-                thetas[rows] = cand[better]
-                improved_any = True
-            remaining = remaining[~better]
-            alpha = alpha[~better] * 0.5
-            if remaining.size == 0:
-                break
-        flagged[remaining] = True
-        if not improved_any:
-            break
-    return thetas, np.where(flagged)[0]
+    if _all_binary(items):
+        d = np.array([item.intercepts[0] for item in items])
+        cells = _binary_cells(responses, a, d, link)
+    else:
+        cells = _person_cells(responses, items, link)
+    radius = config.radius(a.shape[1])
+    thetas, failed = _newton_block(thetas, a, cells, radius, config.inner_steps)
+    return thetas, np.where(failed)[0]
 
 
 def update_item_block(
@@ -196,14 +241,26 @@ def update_item_block(
     q: np.ndarray | None = None,
     link: Link = Link.LOGIT,
 ):
-    """Per-item projected Newton updates with frozen Q-masked loadings.
+    """Projected Newton updates of every item, with Q-masked loadings frozen.
 
-    Returns (items, flagged_items); an item is flagged when its line search
-    failed or the ball constraint is active (separable columns included).
+    Binary items are one _newton_block solve over (intercept, loadings)
+    vectors, with design [1, theta] and free mask [1, q_j]; graded and gpc
+    items use fit_item one at a time, as the marginal M-steps do.  Returns
+    (items, flagged_items); an item is flagged when its line search failed or
+    it ends on the radius-C ball (separable columns included).
     """
     link = as_link(link)
     responses = response_matrix(data)
     radius = config.radius(thetas.shape[1])
+    if _all_binary(items):
+        design = np.column_stack([np.ones(len(thetas)), thetas])
+        free = None if q is None else np.column_stack([np.ones(len(q), bool), q.astype(bool)])
+        beta = np.array([item.beta() for item in items])
+        cells = _binary_cells(responses.T, design, None, link)
+        beta, failed = _newton_block(beta, design, cells, radius, config.inner_steps, free)
+        at_ball = np.linalg.norm(beta, axis=1) >= radius * (1.0 - 1e-9)
+        items = [ItemParams(ModelKind.BINARY, b[:1], b[1:]) for b in beta]
+        return items, np.where(failed | at_ball)[0]
     new_items = []
     flagged = []
     for j, item in enumerate(items):
@@ -220,7 +277,7 @@ def update_item_block(
             link,
             free_mask=free,
             max_steps=config.inner_steps,
-            grad_tol=1e-6,
+            grad_tol=_GRAD_TOL,
             ball_radius=radius,
         )
         new_items.append(result.params)

@@ -1,0 +1,69 @@
+"""The benchmark's tracer against the package names it patches.
+
+`bench/tracer.py` wraps module attributes of `ifa` by name, so renaming or
+removing one of them makes `bench/run.py --trace 1` fail with an
+AttributeError.  These tests install the tracer around tiny CJMLE fits and
+check its counts and that uninstalling restores every attribute.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import ifa.cjmle
+import ifa.em
+import ifa.itemfit
+import ifa.models
+import ifa.sampler
+import ifa.start
+from ifa.simulate import SimSpec, simulate
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+OWNERS = (
+    ifa.cjmle,
+    ifa.em,
+    ifa.itemfit,
+    ifa.models,
+    ifa.sampler,
+    ifa.start,
+    ifa.sampler.GibbsEngine,
+    ifa.sampler.MhEngine,
+)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("model, categories", [("binary", 2), ("graded", 3)])
+def test_tracer_counts_cjmle_blocks_and_restores(model, categories):
+    tr = load_tracer()
+    n_items = 8
+    data, _, _ = simulate(
+        SimSpec(150, n_items, k=1, model=model, categories=categories, seed=5)
+    )
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        for name in ("fit_item", "person_logliks", "log_joint_likelihood",
+                     "update_person_block", "update_item_block"):
+            assert vars(ifa.cjmle)[name] is not before[0][name]
+        fit = ifa.cjmle.fit_cjmle(data, 1, model=model)
+    finally:
+        tracer.uninstall()
+    for owner, attrs in zip(OWNERS, before):
+        for name, value in attrs.items():
+            assert vars(owner)[name] is value, f"{owner.__name__}.{name} not restored"
+    calls = tracer.calls()
+    assert calls["cjmle.person_block"] == fit.n_iters
+    assert calls["cjmle.item_block"] == fit.n_iters
+    assert calls["cjmle.joint_loglik"] == fit.n_iters + 1
+    # binary items are one batched solve; graded items still call fit_item
+    per_item = 0 if model == "binary" else n_items
+    assert calls["itemfit.fit_item"] == per_item * fit.n_iters

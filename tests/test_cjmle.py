@@ -1,19 +1,29 @@
 """Joint-maximization estimator tests.
 
-Oracles: a bounded scalar optimizer for single-factor person updates and an
-independent logistic-regression solve (scipy BFGS with analytic gradient on
-the textbook binomial deviance) for item updates.  Both are written against
-raw formulas so they share no code with the estimator under test.
+Oracles: a bounded scalar optimizer for single-factor person updates (logit,
+probit and graded cumulative-logit rows), a scalar search over the angle for
+a two-factor row pinned on the ball, and an independent logistic-regression
+solve (scipy BFGS with analytic gradient on the textbook binomial deviance)
+for item updates.  All are written against raw formulas so they share no
+code with the estimator under test.  The batched binary item block is also
+checked against a per-item fit_item loop.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from scipy import optimize
-from scipy.special import expit, log_expit
+from scipy.special import expit, log_expit, log_ndtr, ndtr
 
-from ifa.cjmle import CjmleConfig, fit_cjmle, update_item_block, update_person_block
+from ifa.cjmle import (
+    CjmleConfig,
+    _newton_block,
+    fit_cjmle,
+    update_item_block,
+    update_person_block,
+)
 from ifa.identify import align_loadings
+from ifa.itemfit import fit_item
 from ifa.models import (
     MISSING,
     Dataset,
@@ -29,16 +39,28 @@ from ifa.spectral import fit_svd_ordinal
 from ifa.start import spectral_start
 
 
-def row_negloglik_1d(theta, y_row, intercepts, loadings):
-    """Binary logit row log-likelihood, written directly from sigmoid algebra."""
+def row_negloglik_1d(theta, y_row, intercepts, loadings, log_cdf=log_expit):
+    """Binary row log-likelihood, written directly from the link's log-cdf."""
     z = intercepts + loadings * theta
     sign = np.where(y_row == 1, 1.0, -1.0)
-    return -np.sum(log_expit(sign * z))
+    return -np.sum(log_cdf(sign * z))
 
 
-def scalar_person_oracle(y_row, intercepts, loadings, radius):
+def graded_row_negloglik_1d(theta, y_row, thresholds, loadings):
+    """Cumulative-logit row: P(Y = t) = G(d_t + a theta) - G(d_{t-1} + a theta),
+    with G(d_{-1} + .) = 0 and G(d_T + .) = 1."""
+    lower = np.column_stack([np.full(len(y_row), -np.inf), thresholds])
+    upper = np.column_stack([thresholds, np.full(len(y_row), np.inf)])
+    rows = np.arange(len(y_row))
+    cell = expit(upper[rows, y_row] + loadings * theta) - expit(
+        lower[rows, y_row] + loadings * theta
+    )
+    return -np.sum(np.log(cell))
+
+
+def scalar_person_oracle(y_row, intercepts, loadings, radius, negloglik=row_negloglik_1d):
     res = optimize.minimize_scalar(
-        row_negloglik_1d,
+        negloglik,
         bounds=(-radius, radius),
         args=(y_row, intercepts, loadings),
         method="bounded",
@@ -95,6 +117,22 @@ def max_item_norm(items):
     )
 
 
+class TestNewtonBlock:
+    def test_stops_unflagged_below_roundoff(self):
+        # objective 1e12 - (x - 1)^2 / 2, seen from 2e-6 away: the gradient is
+        # above 1e-6, but the predicted gain (2e-12) is below the objective's
+        # round-off, so no halving could show a strict increase
+        def cells(rows, x, derivs=False):
+            if derivs:
+                return 1.0 - x, -np.ones_like(x)
+            return 1e12 - 0.5 * (x[:, 0] - 1.0) ** 2
+
+        start = np.array([[1.0 + 2e-6]])
+        x, failed = _newton_block(start, np.ones((1, 1)), cells, 10.0, 5)
+        assert not failed[0]
+        assert x[0, 0] == start[0, 0]
+
+
 class TestPersonBlock:
     def test_all_missing_row_unchanged(self):
         rng = np.random.default_rng(0)
@@ -129,6 +167,80 @@ class TestPersonBlock:
         for i in range(n):
             oracle = scalar_person_oracle(responses[i], intercepts, loadings, radius)
             assert abs(fitted[i, 0] - oracle) < 1e-6
+
+    def test_k1_probit_matches_scalar_optimizer(self):
+        rng = np.random.default_rng(17)
+        n, j = 12, 15
+        loadings = rng.uniform(0.6, 1.4, j)
+        intercepts = rng.uniform(-1.0, 1.0, j)
+        items = [
+            ItemParams(ModelKind.BINARY, intercepts[jj : jj + 1], loadings[jj : jj + 1])
+            for jj in range(j)
+        ]
+        z = intercepts[None, :] + rng.normal(size=(n, 1)) @ loadings[None, :]
+        responses = (rng.random((n, j)) < ndtr(z)).astype(int)
+        responses[np.arange(n), rng.integers(0, j, n)] = MISSING
+        config = CjmleConfig()
+        fitted = converge_person_block(
+            responses, items, np.zeros((n, 1)), config, Link.PROBIT
+        )
+        for i in range(n):
+            seen = responses[i] != MISSING
+            oracle = scalar_person_oracle(
+                responses[i, seen], intercepts[seen], loadings[seen], config.radius(1),
+                lambda t, y, d, a: row_negloglik_1d(t, y, d, a, log_ndtr),
+            )
+            assert abs(fitted[i, 0] - oracle) < 1e-6
+
+    def test_graded_k1_matches_scalar_optimizer(self):
+        rng = np.random.default_rng(23)
+        n, j, cats = 10, 20, 4
+        loadings = rng.uniform(0.7, 1.5, j)
+        thresholds = np.sort(rng.uniform(-1.5, 1.5, (j, cats - 1)), axis=1)
+        items = [
+            ItemParams(ModelKind.GRADED, thresholds[jj], loadings[jj : jj + 1])
+            for jj in range(j)
+        ]
+        responses = rng.integers(0, cats, size=(n, j))
+        config = CjmleConfig(c_radius=4.0)
+        fitted = converge_person_block(responses, items, np.zeros((n, 1)), config)
+        for i in range(n):
+            oracle = scalar_person_oracle(
+                responses[i], thresholds, loadings, 4.0, graded_row_negloglik_1d
+            )
+            assert abs(fitted[i, 0] - oracle) < 1e-6
+
+    def test_row_pinned_on_ball_reaches_constrained_optimum(self):
+        # every response is 1, so the row's likelihood rises without bound and
+        # its constrained optimum lies on the circle of radius 1
+        rng = np.random.default_rng(29)
+        j = 10
+        loadings = rng.normal(size=(j, 2)) + np.array([1.0, 0.3])
+        intercepts = rng.uniform(-0.5, 0.5, j)
+        items = [
+            ItemParams(ModelKind.BINARY, intercepts[jj : jj + 1], loadings[jj])
+            for jj in range(j)
+        ]
+        responses = np.ones((1, j), dtype=int)
+        config = CjmleConfig(c_radius=1.0)
+
+        def negloglik(angle):
+            theta = np.array([np.cos(angle), np.sin(angle)])
+            return -np.sum(log_expit(intercepts + loadings @ theta))
+
+        grid = np.linspace(-np.pi, np.pi, 721)
+        best = grid[np.argmin([negloglik(g) for g in grid])]
+        angle = optimize.minimize_scalar(
+            negloglik, bounds=(best - 0.01, best + 0.01), method="bounded",
+            options={"xatol": 1e-12},
+        ).x
+        oracle = np.array([np.cos(angle), np.sin(angle)])
+        start = np.array([[np.cos(angle + 2.0), np.sin(angle + 2.0)]])  # on the ball
+        thetas = start
+        for _ in range(20):
+            thetas, flagged = update_person_block(responses, items, thetas, config)
+            assert flagged.size == 0
+        np.testing.assert_allclose(thetas[0], oracle, atol=1e-6)
 
     def test_start_outside_ball_is_projected(self):
         items = [ItemParams(ModelKind.BINARY, np.array([0.0]), np.array([1.0, 0.5]))]
@@ -181,6 +293,49 @@ class TestItemBlock:
         fitted, _ = update_item_block(responses, thetas, items, CjmleConfig(), q)
         assert fitted[0].loadings[1] == 0.0
         assert fitted[1].loadings[1] != 0.0
+
+
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    def test_binary_block_matches_fit_item_loop(self, link):
+        rng = np.random.default_rng(31)
+        n, j = 400, 6
+        thetas = rng.normal(size=(n, 2))
+        q = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1]])
+        true_a = rng.uniform(0.5, 1.5, (j, 2)) * q
+        z = rng.uniform(-1.0, 1.0, j)[None, :] + thetas @ true_a.T
+        cdf = expit if link is Link.LOGIT else ndtr
+        responses = (rng.random((n, j)) < cdf(z)).astype(int)
+        responses[rng.random((n, j)) < 0.15] = MISSING
+        start = [
+            ItemParams(ModelKind.BINARY, np.array([0.1]), 0.5 * q[jj]) for jj in range(j)
+        ]
+        config = CjmleConfig(c_radius=50.0, inner_steps=3)  # slack ball
+        block, flagged = update_item_block(responses, thetas, start, config, q, link)
+        assert flagged.size == 0
+        for jj, item in enumerate(start):
+            seen = responses[:, jj] != MISSING
+            w = np.eye(2)[responses[seen, jj]]
+            ref = fit_item(
+                thetas[seen], w, item, link, free_mask=q[jj].astype(bool),
+                max_steps=3, grad_tol=1e-6, ball_radius=50.0,
+            ).params
+            np.testing.assert_allclose(block[jj].intercepts, ref.intercepts, atol=1e-8)
+            np.testing.assert_allclose(block[jj].loadings, ref.loadings, atol=1e-8)
+            assert np.all(block[jj].loadings[q[jj] == 0] == 0.0)
+
+    def test_all_missing_column_unchanged_and_unflagged(self):
+        rng = np.random.default_rng(37)
+        thetas = rng.normal(size=(100, 2))
+        items = [
+            ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([0.7, 0.4])),
+            ItemParams(ModelKind.BINARY, np.array([-0.3]), np.array([0.6, -0.5])),
+        ]
+        responses = rng.integers(0, 2, size=(100, 2))
+        responses[:, 1] = MISSING  # raw array path keeps the degenerate column
+        fitted, flagged = update_item_block(responses, thetas, items, CjmleConfig())
+        assert fitted[1].intercepts[0] == items[1].intercepts[0]
+        np.testing.assert_array_equal(fitted[1].loadings, items[1].loadings)
+        assert 1 not in flagged
 
 
 class TestFitCjmle:
@@ -239,6 +394,26 @@ class TestFitCjmle:
                 losses.append(prob_mse(thetas, items, fit.thetas, fit.items))
             wins += losses[1] < losses[0]
         assert wins >= 9
+
+    def test_graded_trajectory_nondecreasing_and_feasible(self):
+        spec = SimSpec(n_persons=300, n_items=12, k=2, model="graded", categories=4, seed=19)
+        data, _, _ = simulate(spec)
+        config = CjmleConfig()
+        radius = config.radius(2)
+        thetas, items = spectral_start(data, 2, ModelKind.GRADED, Link.LOGIT, None)
+        thetas = np.clip(thetas, -radius / 2, radius / 2)
+        trail = [log_joint_likelihood(data, thetas, items)]
+        for _ in range(6):
+            thetas, _ = update_person_block(data, items, thetas, config)
+            items, _ = update_item_block(data, thetas, items, config)
+            assert np.linalg.norm(thetas, axis=1).max() <= radius + 1e-12
+            assert max_item_norm(items) <= radius + 1e-12
+            assert all(np.all(np.diff(it.intercepts) >= 0) for it in items)
+            trail.append(log_joint_likelihood(data, thetas, items))
+        diffs = np.diff(trail)
+        assert np.all(diffs >= -1e-8 * (np.abs(trail[:-1]) + 1.0))
+        fit = fit_cjmle(data, 2)
+        assert np.all(np.diff(fit.trajectory) >= -1e-8 * (np.abs(fit.trajectory[:-1]) + 1.0))
 
     def test_row_permutation_equivariance(self):
         spec = SimSpec(n_persons=200, n_items=15, k=2, seed=13)
