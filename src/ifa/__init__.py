@@ -31,7 +31,6 @@ from .models import (
 from .identify import (
     AlignmentResult,
     align_loadings,
-    apply_q_mask,
     check_q_matrix,
     standardize_factors,
 )
@@ -47,13 +46,11 @@ from .em import (
     StemConfig,
     average_parameter_trail,
     build_grid,
-    complete_data_gradient,
     fit_em_quadrature,
     fit_mcem,
     fit_sa_mcmc,
     fit_stem,
     log_marginal_likelihood,
-    marginal_gradient,
     pack_params,
     unpack_params,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "person_logliks",
     "AlignmentResult",
     "align_loadings",
-    "apply_q_mask",
     "check_q_matrix",
     "standardize_factors",
     "ItemFitResult",
@@ -111,13 +107,11 @@ __all__ = [
     "StemConfig",
     "average_parameter_trail",
     "build_grid",
-    "complete_data_gradient",
     "fit_em_quadrature",
     "fit_mcem",
     "fit_sa_mcmc",
     "fit_stem",
     "log_marginal_likelihood",
-    "marginal_gradient",
     "pack_params",
     "unpack_params",
     "SpectralFit",

@@ -1,11 +1,16 @@
 """Marginal-likelihood engines: quadrature EM, Monte Carlo EM, stochastic EM
 with burn-in averaging, and stochastic-approximation MCMC.
 
-All four share the same M-step machinery (per-item weighted Newton fits and a
-factor-correlation update rescaled to unit diagonal) and differ only in how
-the E-step expectations are formed: tensor-product Gauss-Hermite quadrature,
-growing batches of posterior draws, a single draw per iteration, or a
-stochastic gradient step preconditioned by a running information estimate.
+Quadrature EM takes its E-step expectations on a tensor-product
+Gauss-Hermite grid.  The other three share one sampled E-step: warm
+person-factor chains (Gibbs for probit binary and graded items, random-walk
+Metropolis-Hastings otherwise) give draws of the factors, and the stacked
+draws with the 0/1 category indicators of the responses (zero rows at
+missing cells) are the complete data.  MCEM and StEM fit it by per-item
+weighted Newton M-steps and a factor-correlation update rescaled to unit
+diagonal: MCEM from growing batches of consecutive draws, StEM from one draw
+per iteration, averaging the iterates after burn-in.  SA takes a stochastic
+gradient step instead, preconditioned by a running information estimate.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from scipy import linalg as sla
 from .identify import check_q_matrix
 from .itemfit import fit_item, from_internal, internal_grad_hess, resolve_free_mask, to_internal
 from .models import (
-    MISSING,
     Dataset,
     FactorConfig,
     ItemParams,
@@ -32,11 +36,13 @@ from .models import (
     response_matrix,
 )
 from .sampler import GibbsEngine, MhEngine
+from .spectral import require_rank
 from .start import default_items, spectral_start
 
 _ESTEP_CELL_BUDGET = 2_000_000
 _LOG_FLOOR = -1e300
 _MSTEP_TOL = 1e-8
+_SWEEPS_PER_DRAW = 5
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +80,12 @@ def _require_small_k(k: int) -> None:
         )
 
 
+def _indicators(codes, n_cat: int) -> np.ndarray:
+    """0/1 indicators of the codes 0..n_cat-1 along a new last axis; a
+    missing code gives a zero row."""
+    return (codes[..., None] == np.arange(n_cat)).astype(float)
+
+
 def _estep_tables(responses, items, grid: QuadratureGrid, link: Link):
     """Posterior-weighted sufficient statistics on the grid.
 
@@ -97,7 +109,6 @@ def _estep_tables(responses, items, grid: QuadratureGrid, link: Link):
     # a zero-probability cell keeps zeroing its node without 0 * -inf = NaN
     np.maximum(log_table, _LOG_FLOOR, out=log_table)
     log_table = log_table.reshape(n_cat * n_items, m)
-    codes = np.arange(n_cat)[:, None]
     count_table = np.zeros((m, n_cat * n_items))
     node_mass = np.zeros(m)
     total = 0.0
@@ -106,7 +117,7 @@ def _estep_tables(responses, items, grid: QuadratureGrid, link: Link):
     for start in range(0, n, chunk):
         block = responses[start : start + chunk]
         post = buf[: block.shape[0]]
-        hits = (block[:, None, :] == codes).reshape(block.shape[0], -1).astype(float)
+        hits = _indicators(block, n_cat).transpose(0, 2, 1).reshape(block.shape[0], -1)
         np.matmul(hits, log_table, out=post)
         post += grid.log_weights
         peak = post.max(axis=1, keepdims=True)
@@ -139,55 +150,6 @@ def log_marginal_likelihood(
     responses = response_matrix(data)
     _, _, total = _estep_tables(responses, items, grid, link)
     return total
-
-
-def marginal_gradient(
-    data,
-    items,
-    factor_config: FactorConfig,
-    grid: QuadratureGrid | None = None,
-    link: Link = Link.LOGIT,
-    q: np.ndarray | None = None,
-    points_per_dim: int = 21,
-) -> np.ndarray:
-    """Gradient of the marginal log-likelihood w.r.t. item parameters.
-
-    Computed through the posterior-expected complete-data gradient, stacked
-    over items in each item's internal free coordinates.
-    """
-    link = as_link(link)
-    _require_small_k(factor_config.k)
-    if grid is None:
-        grid = build_grid(points_per_dim, factor_config)
-    responses = response_matrix(data)
-    counts, _, _ = _estep_tables(responses, items, grid, link)
-    masks = _free_masks(items, q)
-    parts = []
-    for item, cnt, mask in zip(items, counts, masks):
-        g, _ = internal_grad_hess(item, grid.nodes, cnt, link, mask)
-        parts.append(g)
-    return np.concatenate(parts)
-
-
-def complete_data_gradient(
-    data,
-    thetas,
-    items,
-    link: Link = Link.LOGIT,
-    q: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of the complete-data log-likelihood w.r.t. item parameters,
-    stacked over items in internal free coordinates (missing cells skipped)."""
-    link = as_link(link)
-    responses = response_matrix(data)
-    masks = _free_masks(items, q)
-    parts = []
-    for j, (item, mask) in enumerate(zip(items, masks)):
-        y = responses[:, j]
-        obs = y != MISSING
-        g, _ = internal_grad_hess(item, thetas[obs], _one_hot(y[obs], item.n_categories), link, mask)
-        parts.append(g)
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +196,19 @@ def average_parameter_trail(trail: np.ndarray, burn_in: int) -> np.ndarray:
 # shared M-step pieces
 
 
-def _one_hot(y, n_categories: int) -> np.ndarray:
-    w = np.zeros((y.size, n_categories))
-    w[np.arange(y.size), np.asarray(y, dtype=int)] = 1.0
-    return w
-
-
 def _free_masks(items, q):
     if q is None:
         return [None] * len(items)
     return [q[j].astype(bool) for j in range(len(items))]
 
 
-def _mstep_items(items, design, weights_list, link: Link, masks, row_masks=None):
+def _mstep_items(items, design, weights_list, link: Link, masks):
     """Per-item weighted Newton fits; returns (items, number of failed line searches)."""
     out = []
     failed = 0
-    for j, (item, w, mask) in enumerate(zip(items, weights_list, masks)):
-        d = design if row_masks is None else design[row_masks[j]]
+    for item, w, mask in zip(items, weights_list, masks):
         result = fit_item(
-            d, w, item, link, free_mask=mask, max_steps=50, grad_tol=_MSTEP_TOL
+            design, w, item, link, free_mask=mask, max_steps=50, grad_tol=_MSTEP_TOL
         )
         failed += int(result.line_search_failed)
         out.append(result.params)
@@ -409,6 +364,65 @@ class _ChainPool:
             self.mh_scale = self.engine.scale
         return self.thetas
 
+    def draw(self, n_draws: int, thin: int, adapt: bool) -> np.ndarray:
+        """n_draws states, thin sweeps apart, stacked draw by draw into one design."""
+        draws = []
+        for _ in range(n_draws):
+            for _ in range(thin):
+                thetas = self.sweep(adapt)
+            draws.append(thetas)
+        return np.vstack(draws)
+
+
+def _sampled_start(data, k: int, model, link, q, seed: int):
+    """Checked inputs and starting state shared by the sampled engines.
+
+    Returns (link, q, items, chains, indicators), the indicators an
+    (item, person, category) array built once per fit.
+    """
+    link = as_link(link)
+    model = _default_model(data, model)
+    if q is None:  # a Q matrix fixes the rotation; exploratory fits need k+1 items
+        require_rank(data, k)
+    else:
+        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
+    items = default_items(data, k, model, link, q)
+    chains = _ChainPool(data, k, link, model, seed)
+    indicators = _indicators(data.responses.T, int(data.categories.max()))
+    return link, q, items, chains, indicators
+
+
+def _item_weights(indicators, items, n_draws: int = 1) -> list:
+    """Each item's (draw x person, category) weights: its slice of the
+    (item, person, category) indicators, tiled over n_draws stacked draws."""
+    tiled = np.tile(indicators, (1, n_draws, 1))
+    return [tiled[j, :, : it.n_categories] for j, it in enumerate(items)]
+
+
+def _sampled_em(data, k, model, link, q, seed, schedule, thin: int, adapt_iters: int):
+    """MCEM and StEM: iteration t fits the items and the factor correlation
+    to schedule[t] draws taken thin sweeps apart, as complete data.
+
+    Returns (items, correlation, trajectory, M-step failures per iteration).
+    """
+    link, q, items, chains, indicators = _sampled_start(data, k, model, link, q, seed)
+    corr = np.eye(k)
+    masks = _free_masks(items, q)
+    trajectory = []
+    mstep_failures = []
+    for t, n_draws in enumerate(schedule):
+        chains.refresh(items, corr)
+        design = chains.draw(n_draws, thin, adapt=t < adapt_iters)
+        # unnamed, the weights are freed before the next iteration tiles its own
+        items, failed = _mstep_items(
+            items, design, _item_weights(indicators, items, n_draws), link, masks
+        )
+        mstep_failures.append(failed)
+        second = design.T @ design / design.shape[0]
+        corr, items = _rescale_correlation(second, items, compensate=True)
+        trajectory.append(pack_params(items, corr))
+    return items, corr, np.asarray(trajectory), mstep_failures
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo EM
@@ -440,50 +454,23 @@ def fit_mcem(
     q: np.ndarray | None = None,
 ) -> MarginalFit:
     """Monte Carlo EM: E-step expectations from growing batches of draws."""
-    link = as_link(link)
     config = config or McemConfig()
-    model = _default_model(data, model)
-    if q is not None:
-        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
     if draws_schedule is None:
         draws_schedule = [
             int(min(config.draws_cap, round(config.draws_start * config.draws_growth**t)))
             for t in range(config.max_iters)
         ]
-    items = default_items(data, k, model, link, q)
-    corr = np.eye(k)
-    masks = _free_masks(items, q)
-    responses = data.responses
-    chains = _ChainPool(data, k, link, model, config.seed)
-    trajectory = []
-    mstep_failures = []
-    n_iters = 0
-    for t, n_draws in enumerate(draws_schedule):
-        chains.refresh(items, corr)
-        adapt = t < max(1, len(draws_schedule) // 2)
-        draws = [chains.sweep(adapt).copy() for _ in range(n_draws)]
-        design = np.vstack(draws)
-        weights_list = []
-        row_masks = []
-        for j, item in enumerate(items):
-            y = responses[:, j]
-            obs = y != MISSING
-            w = _one_hot(np.tile(y[obs], n_draws), item.n_categories)
-            weights_list.append(w)
-            row_masks.append(np.tile(obs, n_draws))
-        items, failed = _mstep_items(items, design, weights_list, link, masks, row_masks)
-        mstep_failures.append(failed)
-        second = design.T @ design / design.shape[0]
-        corr, items = _rescale_correlation(second, items, compensate=True)
-        trajectory.append(pack_params(items, corr))
-        n_iters += 1
+    items, corr, trajectory, mstep_failures = _sampled_em(
+        data, k, model, link, q, config.seed, draws_schedule,
+        thin=1, adapt_iters=max(1, len(draws_schedule) // 2),
+    )
     return MarginalFit(
         items=items,
         correlation=corr,
-        trajectory=np.asarray(trajectory),
+        trajectory=trajectory,
         marginal_loglik=None,
         converged=True,
-        n_iters=n_iters,
+        n_iters=len(draws_schedule),
         info={"draws_schedule": list(draws_schedule), "mstep_failures": mstep_failures},
     )
 
@@ -496,14 +483,11 @@ def fit_mcem(
 class StemConfig:
     total_iters: int = 400
     burn_in: int = 100
-    sweeps_per_iter: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.burn_in < self.total_iters:
             raise ValueError("need 0 < burn_in < total_iters")
-        if self.sweeps_per_iter < 1:
-            raise ValueError("sweeps_per_iter must be positive")
 
 
 def fit_stem(
@@ -516,35 +500,11 @@ def fit_stem(
     link: Link = Link.LOGIT,
 ) -> MarginalFit:
     """Stochastic EM: single-draw E steps, burn-in averaged estimate."""
-    link = as_link(link)
     config = stem_config or StemConfig()
-    model = _default_model(data, model)
-    if q is not None:
-        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
-    items = default_items(data, k, model, link, q)
-    corr = np.eye(k)
-    masks = _free_masks(items, q)
-    responses = data.responses
-    chains = _ChainPool(data, k, link, model, config.seed)
-    trajectory = []
-    mstep_failures = []
-    for t in range(config.total_iters):
-        chains.refresh(items, corr)
-        for _ in range(config.sweeps_per_iter):
-            thetas = chains.sweep(adapt=t < config.burn_in)
-        weights_list = []
-        row_masks = []
-        for j, item in enumerate(items):
-            y = responses[:, j]
-            obs = y != MISSING
-            weights_list.append(_one_hot(y[obs], item.n_categories))
-            row_masks.append(obs)
-        items, failed = _mstep_items(items, thetas, weights_list, link, masks, row_masks)
-        mstep_failures.append(failed)
-        second = thetas.T @ thetas / data.n_persons
-        corr, items = _rescale_correlation(second, items, compensate=True)
-        trajectory.append(pack_params(items, corr))
-    trajectory = np.asarray(trajectory)
+    items, corr, trajectory, mstep_failures = _sampled_em(
+        data, k, model, link, q, config.seed, [1] * config.total_iters,
+        thin=_SWEEPS_PER_DRAW, adapt_iters=config.burn_in,
+    )
     averaged = average_parameter_trail(trajectory, config.burn_in)
     items, corr = unpack_params(averaged, items, k)
     return MarginalFit(
@@ -569,13 +529,11 @@ class SaConfig:
     # callable t -> gamma_t (1-based t); None = plateau of 1 then 1/(t - warmup)
     gain_schedule: Callable[[int], float] | None = None
     use_hessian: bool = True
-    sweeps_per_iter: int = 5
-    draws_per_iter: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.total_iters < 1 or self.sweeps_per_iter < 1 or self.draws_per_iter < 1:
-            raise ValueError("iteration and draw counts must be positive")
+        if self.total_iters < 1:
+            raise ValueError("total_iters must be positive")
         if not 0 <= self.warmup < self.total_iters:
             raise ValueError("need 0 <= warmup < total_iters")
 
@@ -659,17 +617,11 @@ def fit_sa_mcmc(
     """Stochastic approximation: gradient steps along stochastic gradients of
     the marginal log-likelihood (Fisher identity), optionally preconditioned
     by a Robbins-Monro estimate of the complete-data information."""
-    link = as_link(link)
     config = sa_config or SaConfig()
-    model = _default_model(data, model)
-    if q is not None:
-        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
-    items = default_items(data, k, model, link, q)
+    link, q, items, chains, indicators = _sampled_start(data, k, model, link, q, config.seed)
     corr = np.eye(k)
     masks = [resolve_free_mask(it, m) for it, m in zip(items, _free_masks(items, q))]
-    responses = data.responses
-    obs_masks = [responses[:, j] != MISSING for j in range(data.n_items)]
-    chains = _ChainPool(data, k, link, model, config.seed)
+    weights = _item_weights(indicators, items)
     x_items = [to_internal(it, m) for it, m in zip(items, masks)]
     c_corr = _corr_chol_coords(corr) if k > 1 else np.zeros(0)
     gammas = [np.zeros((x.size, x.size)) for x in x_items]
@@ -681,33 +633,20 @@ def fit_sa_mcmc(
     for t in range(1, config.total_iters + 1):
         gamma_t = config.gamma(t)
         chains.refresh(items, corr)
-        draws = []
-        for _ in range(config.sweeps_per_iter - 1):
-            chains.sweep(adapt=t <= config.warmup)
-        for _ in range(config.draws_per_iter):
-            draws.append(chains.sweep(adapt=t <= config.warmup).copy())
+        design = chains.draw(1, _SWEEPS_PER_DRAW, adapt=t <= config.warmup)
         h_parts = []
         fell_back = False
         new_x = []
         for j, item in enumerate(items):
-            g_sum = np.zeros(x_items[j].size)
-            info_sum = np.zeros((x_items[j].size,) * 2)
-            y = responses[obs_masks[j], j]
-            w = _one_hot(y, item.n_categories)
-            for theta in draws:
-                g, hess = internal_grad_hess(item, theta[obs_masks[j]], w, link, masks[j])
-                g_sum += g
-                info_sum -= hess
-            g_avg = g_sum / len(draws)
-            info_avg = info_sum / len(draws)
-            gammas[j] = gammas[j] + gamma_t * (info_avg - gammas[j])
-            direction, fb = _precondition(gammas[j], g_avg, config.use_hessian)
+            g, hess = internal_grad_hess(item, design, weights[j], link, masks[j])
+            gammas[j] = gammas[j] + gamma_t * (-hess - gammas[j])
+            direction, fb = _precondition(gammas[j], g, config.use_hessian)
             fell_back = fell_back or fb
-            h_parts.append(g_avg)
+            h_parts.append(g)
             new_x.append(x_items[j] + gamma_t * direction)
         h_corr = np.zeros(0)
         if k > 1:
-            moment = sum(theta.T @ theta for theta in draws) / len(draws)
+            moment = design.T @ design
             g_corr = _corr_grad(c_corr, moment, data.n_persons, k)
             info_corr = _corr_fd_info(c_corr, moment, data.n_persons, k)
             gamma_corr = gamma_corr + gamma_t * (info_corr - gamma_corr)

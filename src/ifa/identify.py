@@ -1,11 +1,9 @@
-"""Identification helpers: factor standardization, loading alignment, Q-masks."""
+"""Identification helpers: factor standardization, loading alignment, Q-matrix checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .models import ItemParams
 
 
 @dataclass
@@ -74,16 +72,3 @@ def check_q_matrix(q, n_items=None, k=None, allow_empty_rows=False) -> np.ndarra
     if not allow_empty_rows and not q.any(axis=1).all():
         raise ValueError("each q row must free at least one loading")
     return q
-
-
-def apply_q_mask(items, q):
-    """Zero out loadings wherever q is 0, leaving free entries untouched."""
-    q = check_q_matrix(q, n_items=len(items))
-    out = []
-    for params, row in zip(items, q):
-        if row.size != params.k:
-            raise ValueError("q row length must match the loading dimension")
-        out.append(
-            ItemParams(params.kind, params.intercepts.copy(), params.loadings * row)
-        )
-    return out

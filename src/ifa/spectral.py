@@ -89,13 +89,18 @@ def _binary_pipeline(binary, observed, k, link):
     return thetas, loadings, intercepts, p_hat
 
 
+def require_rank(data: Dataset, k: int) -> None:
+    """Reject panels too small to identify k factors (k+1 persons and items)."""
+    if min(data.n_persons, data.n_items) < k + 1:
+        raise ValueError("spectral estimation needs at least k+1 persons and items")
+
+
 def fit_svd_binary(data: Dataset, k: int, link: Link = Link.LOGIT) -> SpectralFit:
     """Spectral estimator for a binary dataset."""
     link = as_link(link)
     if np.any(data.categories != 2):
         raise ValueError("fit_svd_binary requires every item to be binary")
-    if min(data.n_persons, data.n_items) < k + 1:
-        raise ValueError("spectral estimation needs at least k+1 persons and items")
+    require_rank(data, k)
     thetas, loadings, intercepts, p_hat = _binary_pipeline(
         data.responses == 1, data.observed_mask, k, link
     )
@@ -111,8 +116,7 @@ def fit_svd_ordinal(data: Dataset, k: int, link: Link = Link.LOGIT) -> SpectralF
     category count, and thetas average over all usable splits.
     """
     link = as_link(link)
-    if min(data.n_persons, data.n_items) < k + 1:
-        raise ValueError("spectral estimation needs at least k+1 persons and items")
+    require_rank(data, k)
     observed = data.observed_mask
     max_split = int(data.categories.max()) - 1
     ref_loadings = None

@@ -99,6 +99,15 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "stem" in err and "sa" in err
 
+    def test_stem_with_k_at_least_items_exits_2(self, tmp_path, capsys):
+        panel = simulate_panel(tmp_path, n=200, j=3, seed=4)
+        code = run(
+            "--command", "fit", "--estimator", "stem", "--k", 3,
+            "--input", panel / "data.csv", "--output-dir", tmp_path / "stem3",
+        )
+        assert code == 2
+        assert "k+1 persons and items" in capsys.readouterr().err
+
     def test_malformed_csv_names_row_and_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("q1,q2\n1,0\n1,what\n")

@@ -22,16 +22,15 @@ from ifa.em import (
     StemConfig,
     average_parameter_trail,
     build_grid,
-    complete_data_gradient,
     fit_em_quadrature,
     fit_mcem,
     fit_sa_mcmc,
     fit_stem,
     log_marginal_likelihood,
-    marginal_gradient,
     pack_params,
     unpack_params,
 )
+from ifa.itemfit import internal_grad_hess
 from ifa.models import (
     MISSING,
     Dataset,
@@ -380,9 +379,15 @@ class TestStochasticGradient:
         theta_true = rng.normal(size=(n, 1))
         z = intercepts[None, :] + theta_true @ loadings[None, :]
         responses = (rng.random((n, j)) < expit(z)).astype(int)
-        config = FactorConfig(1)
-        grid = build_grid(201, config)
-        target = marginal_gradient(responses, items, config, grid=grid)
+        grid = build_grid(201, FactorConfig(1))
+        # marginal side: the quadrature E-step's expected counts
+        counts, _, _ = ifa.em._estep_tables(responses, items, grid, Link.LOGIT)
+        target = np.concatenate([
+            internal_grad_hess(it, grid.nodes, cnt, Link.LOGIT)[0]
+            for it, cnt in zip(items, counts)
+        ])
+        # complete-data side: the sampled engines' category indicators
+        weights = ifa.em._item_weights(ifa.em._indicators(responses.T, 2), items)
         # per-person posterior over nodes, from raw sigmoid algebra
         sign = np.where(responses == 1, 1.0, -1.0)
         linear = intercepts[None, :] + np.outer(grid.nodes[:, 0], loadings)  # (M, J)
@@ -399,7 +404,10 @@ class TestStochasticGradient:
             u = rng.random((n, 1))
             idx = (u > cum).sum(axis=1)
             thetas = grid.nodes[idx]
-            grads[d] = complete_data_gradient(responses, thetas, items)
+            grads[d] = np.concatenate([
+                internal_grad_hess(it, thetas, w, Link.LOGIT)[0]
+                for it, w in zip(items, weights)
+            ])
         se = grads.std(axis=0) / np.sqrt(n_draws)
         np.testing.assert_array_less(
             np.abs(grads.mean(axis=0) - target), 3 * se + 1e-12
@@ -411,16 +419,21 @@ class TestEngineContracts:
 
     @pytest.fixture(scope="class")
     @staticmethod
-    def masked_panel():
+    def masked_panel(request):
         q = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1], [1, 0], [0, 1]])
         data, _, _ = simulate(
-            SimSpec(n_persons=300, n_items=8, k=2, q_matrix=q, seed=21)
+            SimSpec(n_persons=300, n_items=8, k=2, q_matrix=q, missing_rate=request.param, seed=21)
         )
         return data, q
 
     @pytest.mark.parametrize(
-        "name",
-        ["quadrature", "mcem", "stem", "sa"],
+        "masked_panel, name",
+        [
+            *[pytest.param(0.0, name, id=name) for name in ["quadrature", "mcem", "stem", "sa"]],
+            # the sampled engines on missing cells (quadrature: test_missing_cells_supported)
+            *[pytest.param(0.2, name, id=f"{name}-missing20") for name in ["mcem", "stem", "sa"]],
+        ],
+        indirect=["masked_panel"],
     )
     def test_engine_contracts(self, masked_panel, name):
         data, q = masked_panel
@@ -440,6 +453,13 @@ class TestEngineContracts:
         assert np.all(np.abs(offdiag) <= 1.0)
         loadings = np.vstack([it.loadings for it in first.items])
         assert np.all(loadings[q == 0] == 0.0)
+
+    @pytest.mark.parametrize("fit", [fit_mcem, fit_stem, fit_sa_mcmc])
+    def test_sampled_engines_reject_k_at_least_items(self, fit):
+        # three items cannot identify three factors
+        data, _, _ = simulate(SimSpec(n_persons=200, n_items=3, k=1, seed=4))
+        with pytest.raises(ValueError, match=r"k\+1 persons and items"):
+            fit(data, 3)
 
     def test_quadrature_fit_rejects_high_dimension(self):
         data, _, _ = simulate(SimSpec(n_persons=50, n_items=8, k=1, seed=22))

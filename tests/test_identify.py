@@ -1,4 +1,5 @@
-"""Factor standardization, loading alignment, and Q-matrix masking.
+"""Factor standardization, loading alignment, Q-matrix checks, and the
+zero loadings a Q matrix puts into the estimators' starting values.
 
 The alignment oracle is a direct numerical minimization over all K*K
 transform entries, independent of the normal-equations solution.
@@ -10,13 +11,24 @@ import pytest
 from scipy import optimize
 
 from ifa import (
-    ItemParams,
+    Link,
     ModelKind,
+    SimSpec,
     align_loadings,
-    apply_q_mask,
     check_q_matrix,
+    default_items,
+    loadings_matrix,
+    simulate,
+    spectral_start,
     standardize_factors,
 )
+
+
+def spectral_items(data, k, model, link, q=None):
+    return spectral_start(data, k, model, link, q)[1]
+
+
+STARTS = [default_items, spectral_items]
 
 
 def brute_force_alignment_loss(estimated, reference):
@@ -123,27 +135,36 @@ class TestAlignLoadings:
 
 
 class TestQMatrix:
-    def test_all_ones_mask_is_identity(self):
-        items = [
-            ItemParams(ModelKind.BINARY, np.array([0.1]), np.array([0.7, -0.2])),
-            ItemParams(ModelKind.BINARY, np.array([-0.4]), np.array([1.2, 0.5])),
-        ]
-        q = np.ones((2, 2), dtype=int)
-        masked = apply_q_mask(items, q)
-        for before, after in zip(items, masked):
-            np.testing.assert_allclose(after.loadings, before.loadings)
-            np.testing.assert_allclose(after.intercepts, before.intercepts)
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def panel():
+        data, _, _ = simulate(SimSpec(n_persons=200, n_items=6, k=2, seed=3))
+        return data
 
-    def test_zero_entry_zeroes_loading(self):
-        items = [ItemParams(ModelKind.BINARY, np.array([0.0]), np.array([0.7, 0.9]))]
-        masked = apply_q_mask(items, np.array([[1, 0]]))
-        assert masked[0].loadings[1] == 0.0
-        assert masked[0].loadings[0] == pytest.approx(0.7)
+    def test_all_ones_mask_is_identity(self, panel):
+        q = np.ones((panel.n_items, 2), dtype=int)
+        for start in STARTS:
+            free = start(panel, 2, ModelKind.BINARY, Link.LOGIT)
+            masked = start(panel, 2, ModelKind.BINARY, Link.LOGIT, q)
+            for before, after in zip(free, masked):
+                np.testing.assert_array_equal(after.loadings, before.loadings)
+                np.testing.assert_array_equal(after.intercepts, before.intercepts)
+
+    def test_zero_entry_zeroes_loading(self, panel):
+        q = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1]])
+        for start in STARTS:
+            free = start(panel, 2, ModelKind.BINARY, Link.LOGIT)
+            masked = start(panel, 2, ModelKind.BINARY, Link.LOGIT, q)
+            free_a, masked_a = loadings_matrix(free), loadings_matrix(masked)
+            assert np.all(free_a[q == 0] != 0.0)
+            assert np.all(masked_a[q == 0] == 0.0)
+            np.testing.assert_array_equal(masked_a[q == 1], free_a[q == 1])
+            for before, after in zip(free, masked):
+                np.testing.assert_array_equal(after.intercepts, before.intercepts)
 
     def test_all_zero_row_rejected(self):
-        items = [ItemParams(ModelKind.BINARY, np.array([0.0]), np.array([0.7, 0.9]))]
-        with pytest.raises(ValueError):
-            apply_q_mask(items, np.array([[0, 0]]))
+        with pytest.raises(ValueError, match="free at least one loading"):
+            check_q_matrix(np.array([[0, 0]]), 1, 2)
 
     def test_check_rejects_non_binary_entries(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from ifa import ItemParams, Link, ModelKind
+from ifa import MISSING, ItemParams, Link, ModelKind, category_probs
+from ifa.em import _MSTEP_TOL, _indicators
 from ifa.itemfit import (
     fit_item,
     from_internal,
@@ -19,7 +20,7 @@ from ifa.itemfit import (
 )
 from ifa.models import soft_loglik
 
-from conftest import random_item
+from conftest import MODEL_LINK_PAIRS, random_item
 
 
 def scipy_item_oracle(design, weights, template, link, x0=None):
@@ -138,6 +139,28 @@ class TestFitItem:
         res = fit_item(design, w, optimum, Link.PROBIT)
         assert res.converged and not res.line_search_failed
         assert len(evals) <= 2
+
+
+class TestZeroWeightRows:
+    """The sampled engines hand missing cells to fit_item as zero-weight rows."""
+
+    @pytest.mark.parametrize("kind, link", MODEL_LINK_PAIRS)
+    def test_fit_matches_rows_dropped(self, kind, link):
+        rng = np.random.default_rng(31)
+        n = 3000
+        truth = random_item(kind, 2, rng, categories=4)
+        design = rng.normal(size=(n, 2))
+        cum = np.cumsum(category_probs(design, truth, link), axis=1)
+        y = (rng.random((n, 1)) > cum).sum(axis=1)
+        y[rng.random(n) < 0.2] = MISSING
+        weights = _indicators(y, truth.n_categories)
+        obs = y != MISSING
+        start = ItemParams(kind, 0.5 * truth.intercepts, 0.5 * truth.loadings)
+        kwargs = dict(max_steps=50, grad_tol=_MSTEP_TOL)
+        full = fit_item(design, weights, start, link, **kwargs)
+        dropped = fit_item(design[obs], weights[obs], start, link, **kwargs)
+        assert full.converged and dropped.converged and full.n_steps > 1
+        np.testing.assert_allclose(full.params.beta(), dropped.params.beta(), rtol=0, atol=1e-10)
 
 
 class TestInternalCoordinates:
