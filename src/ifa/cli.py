@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c-radius", type=float, default=None)
     parser.add_argument("--burn-in", type=int, default=None)
     parser.add_argument("--total-iters", type=int, default=None)
-    parser.add_argument("--quad-points", type=int, default=21)
+    parser.add_argument("--quad-points", type=int, default=None)
     parser.add_argument("--config", default=None, help="JSON file whose keys override flags")
     parser.add_argument("--n", type=int, default=500, help="persons to simulate")
     parser.add_argument("--j", type=int, default=20, help="items to simulate")
@@ -166,6 +166,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _given(args: argparse.Namespace, **fields) -> dict:
+    """Config keywords from the flags that were given, each field named to its
+    flag, so that the config's own defaults and checks apply to the rest."""
+    given = {field: getattr(args, flag) for field, flag in fields.items()}
+    return {field: value for field, value in given.items() if value is not None}
+
+
 def _run_estimator(args, data, model: ModelKind, link: Link):
     """Dispatch to the requested engine.
 
@@ -174,11 +181,7 @@ def _run_estimator(args, data, model: ModelKind, link: Link):
     k = args.k
     seed = args.seed
     if args.estimator == "cjmle":
-        config = CjmleConfig(
-            c_radius=args.c_radius,
-            max_iters=args.max_iters or 200,
-            tol=args.tol or 1e-5,
-        )
+        config = CjmleConfig(**_given(args, c_radius="c_radius", max_iters="max_iters", tol="tol"))
         fit = fit_cjmle(data, k, config, model=model, link=link)
         rows = [(i + 1, ll) for i, ll in enumerate(fit.trajectory)]
         return fit.items, fit.thetas, None, fit.converged, ["iteration", "log_likelihood"], rows
@@ -189,36 +192,26 @@ def _run_estimator(args, data, model: ModelKind, link: Link):
                 "use the stem or sa estimator for higher dimensions"
             )
         config = EmConfig(
-            points_per_dim=args.quad_points,
-            max_iters=args.max_iters or 200,
-            tol=args.tol or 1e-6,
+            **_given(args, points_per_dim="quad_points", max_iters="max_iters", tol="tol")
         )
         fit = fit_em_quadrature(data, k, model, link, config)
         rows = [(i + 1, ll) for i, ll in enumerate(fit.info["loglik_trail"])]
         return fit.items, None, fit.correlation, fit.converged, ["iteration", "log_likelihood"], rows
     if args.estimator == "mcem":
         fit = fit_mcem(
-            data, k, McemConfig(max_iters=args.max_iters or 25, seed=seed),
+            data, k, McemConfig(seed=seed, **_given(args, max_iters="max_iters")),
             model=model, link=link,
         )
     elif args.estimator == "stem":
         fit = fit_stem(
             data, k,
-            StemConfig(
-                total_iters=args.total_iters or 400,
-                burn_in=args.burn_in or 100,
-                seed=seed,
-            ),
+            StemConfig(seed=seed, **_given(args, total_iters="total_iters", burn_in="burn_in")),
             model=model, link=link,
         )
     elif args.estimator == "sa":
         fit = fit_sa_mcmc(
             data, k,
-            SaConfig(
-                total_iters=args.total_iters or 500,
-                warmup=args.burn_in if args.burn_in is not None else 50,
-                seed=seed,
-            ),
+            SaConfig(seed=seed, **_given(args, total_iters="total_iters", warmup="burn_in")),
             model=model, link=link,
         )
     elif args.estimator == "svd":
@@ -297,9 +290,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
-REPORT_COLUMNS = ["prob_mse", "aligned_loading_loss", "q_loading_loss"]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.truth or not args.input:
         raise CliError("--truth and --input parameter files are required for evaluate")
@@ -336,20 +326,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report.theta_correlation = np.full(truth_extras["k"], np.nan)
     else:
         report.theta_correlation = theta_correlations(truth_thetas, fit_thetas)
-    payload = {
-        "prob_mse": report.prob_mse,
-        "aligned_loading_loss": report.aligned_loading_loss,
-        "q_loading_loss": report.q_loading_loss,
-        "theta_correlation": [float(v) for v in report.theta_correlation],
-    }
-    io.write_json(out / "report.json", payload)
-    header = REPORT_COLUMNS + [
-        f"theta_corr_{f + 1}" for f in range(len(report.theta_correlation))
-    ]
-    row = [report.prob_mse, report.aligned_loading_loss, report.q_loading_loss] + [
-        float(v) for v in report.theta_correlation
-    ]
-    io.write_trajectory_csv(out / "report.csv", header, [row])
+    row = report.as_row()
+    io.write_trajectory_csv(out / "report.csv", list(row), [list(row.values())])
+    # report.json keeps the factor-score correlations together as one list
+    corr = [row.pop(key) for key in list(row) if key.startswith("theta_corr_")]
+    io.write_json(out / "report.json", {**row, "theta_correlation": corr})
     io.write_manifest(
         out / "manifest.json",
         command="evaluate",

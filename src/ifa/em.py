@@ -655,11 +655,7 @@ def fit_sa_mcmc(
             h_corr = g_corr
             c_new = c_corr + gamma_t * direction
             chol = _chol_from_coords(c_new, k)
-            sigma = chol @ chol.T
-            d = np.sqrt(np.clip(np.diag(sigma), 1e-12, None))
-            corr = sigma / np.outer(d, d)
-            corr = 0.5 * (corr + corr.T)
-            np.fill_diagonal(corr, 1.0)
+            corr, _ = _rescale_correlation(chol @ chol.T, items, compensate=False)
             c_corr = _corr_chol_coords(corr)
         x_items = new_x
         items = [from_internal(x, it, m) for x, it, m in zip(x_items, items, masks)]

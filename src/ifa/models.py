@@ -11,6 +11,14 @@ Three response families over a K-dimensional latent trait are supported:
 G is the logistic or standard-normal CDF.  Probability and derivative
 computations are vectorized over rows of latent-trait values; the scalar
 irf_* / grad_* functions are thin wrappers used mostly in tests.
+
+All derivatives come from one core, _predictor_derivs: the first and second
+derivatives of log f(t | theta) in the predictor m = a'theta at every row
+and category.  pointwise_score picks the observed category's entry (the
+CJMLE person block); soft_grad_hess weights them into the loading block and,
+since a binary intercept shifts m just as a'theta does, into the binary
+intercept block.  Only the gpc steps and graded thresholds have blocks of
+their own.
 """
 from __future__ import annotations
 
@@ -324,35 +332,54 @@ def pointwise_score(y, theta, params: ItemParams, link: Link):
     m = a'theta, one value per row.  Returns (score, curvature)."""
     _check_gpc_link(params, link)
     theta = _theta_rows(theta, params.k)
+    rows = np.arange(theta.shape[0])
     y = np.asarray(y, dtype=int)
+    live = np.zeros((params.n_categories, rows.size), dtype=bool)
+    live[y, rows] = True
+    score, curv, _ = _predictor_derivs(theta, params, link, live)
+    return score[y, rows], np.broadcast_to(curv, score.shape)[y, rows]
+
+
+def _predictor_derivs(theta, params: ItemParams, link: Link, weights):
+    """d log f(t | theta)/dm and d^2 log f(t | theta)/dm^2 in the predictor
+    m = a'theta for every category t and row, as (n_cat, n) arrays: one
+    contiguous row per category, so that the few-category work runs along
+    the long axis.  A curvature that all categories share (binary logit,
+    gpc) comes as one (1, n) row.
+
+    Also returns what the family's intercept derivatives need: None for
+    binary items, the (n, n_cat) category probabilities for gpc items, and
+    for graded items the cutpoint densities G'(z), G''(z), shape (T, n),
+    with 1/f over the cells clipped below at 1e-300.  Graded cells whose
+    (n_cat, n) weights are 0 are never divided by: their 1/f, score and
+    curvature are exactly 0, so a cell of probability 0 cannot overflow.
+    """
     m = theta @ params.loadings
     if params.kind is ModelKind.BINARY:
-        z = params.intercepts[0] + m
+        z = np.add(m, params.intercepts[0], out=m)
         if link is Link.LOGIT:
             p = link.cdf(z)
-            return y - p, -p * (1.0 - p)
-        sign = np.where(y == 1, 1.0, -1.0)
-        # lam = G'(sz)/G(sz); stable through the deep tail via log forms
-        lam = np.exp(_log_pdf(sign * z, link) - link.log_cdf(sign * z))
-        return sign * lam, -lam * (sign * z + lam)
+            return np.arange(2.0)[:, None] - p, (p * (p - 1.0))[None, :], None
+        # lam = G'(sz)/G(sz) at sz = -z, z; stable through the deep tail via log forms
+        sz = np.stack([-z, z])
+        lam = np.exp(_log_pdf(sz, link) - link.log_cdf(sz))
+        return np.stack([-lam[0], lam[1]]), -lam * (sz + lam), None
     if params.kind is ModelKind.GPC:
         p = category_probs(theta, params, link)
         tgrid = np.arange(params.n_categories, dtype=float)
         mean_t = p @ tgrid
         var_t = p @ (tgrid**2) - mean_t**2
-        return y - mean_t, -var_t
-    # graded: f = G(z_t) - G(z_{t-1}) with boundary terms zero
-    z = params.intercepts[None, :] + m[:, None]
-    n = theta.shape[0]
-    gpad = np.column_stack([np.zeros(n), link.pdf(z), np.zeros(n)])
-    hpad = np.column_stack([np.zeros(n), link.dpdf(z), np.zeros(n)])
-    rows = np.arange(n)
-    f = np.clip(_graded_cells(z, link)[rows, y], _CLIP_LO, None)
-    dg = gpad[rows, y + 1] - gpad[rows, y]
-    dh = hpad[rows, y + 1] - hpad[rows, y]
-    score = dg / f
-    curv = dh / f - score**2
-    return score, curv
+        return tgrid[:, None] - mean_t, -var_t[None, :], p
+    # graded: f_t = G(z_t) - G(z_{t-1}) with boundary terms zero
+    z = params.intercepts[:, None] + m
+    cells = np.clip(_graded_cells(z.T, link).T, _CLIP_LO, None)
+    inv = np.divide(1.0, cells, out=np.zeros(cells.shape), where=weights > 0)
+    edge = np.zeros((1, z.shape[1]))
+    gpad = np.vstack([edge, link.pdf(z), edge])
+    hpad = np.vstack([edge, link.dpdf(z), edge])
+    score = np.diff(gpad, axis=0) * inv
+    curv = np.diff(hpad, axis=0) * inv - score**2
+    return score, curv, (gpad[1:-1], hpad[1:-1], inv)
 
 
 def _log_pdf(x, link: Link):
@@ -426,46 +453,40 @@ def soft_grad_hess(design, weights, params: ItemParams, link: Link):
     respect to its natural parameter vector (intercepts, loadings).
 
     design: (n, K) latent rows; weights: (n, n_cat) non-negative weights
-    (one-hot rows recover the ordinary log-likelihood).
+    (one-hot rows recover the ordinary log-likelihood).  The loadings enter
+    through the predictor m alone, so their block is the design weighted by
+    the predictor derivatives; a binary intercept shifts m, and gpc steps and
+    graded thresholds have their own blocks.
     """
     _check_gpc_link(params, link)
     design = _theta_rows(design, params.k)
     w = np.asarray(weights, dtype=float)
     if w.shape != (design.shape[0], params.n_categories):
         raise ValueError("weights must be (n_rows, n_categories)")
+    wt = np.ascontiguousarray(w.T)
+    score, curv, extra = _predictor_derivs(design, params, link, wt)
+    gm = np.einsum("tn,tn->n", wt, score)
+    cm = np.einsum("tn,tn->n", wt, curv)
     if params.kind is ModelKind.BINARY:
-        return _binary_grad_hess(design, w, params, link)
-    if params.kind is ModelKind.GPC:
-        return _gpc_grad_hess(design, w, params)
-    return _graded_grad_hess(design, w, params, link)
-
-
-def _binary_grad_hess(design, w, params, link):
-    m = params.intercepts[0] + design @ params.loadings
-    w0, w1 = w[:, 0], w[:, 1]
-    if link is Link.LOGIT:
-        p = link.cdf(m)  # lam1 = 1 - p, lam0 = p for the logistic link
-        gm = w1 - (w0 + w1) * p
-        cm = (w0 + w1) * (-p * (1.0 - p))
+        g_d, h_dd, cross = gm.sum(), cm.sum(), cm[None, :]
+    elif params.kind is ModelKind.GPC:
+        g_d, h_dd, cross = _gpc_intercepts(w, extra)
     else:
-        lam1 = np.exp(_log_pdf(m, link) - link.log_cdf(m))
-        lam0 = np.exp(_log_pdf(-m, link) - link.log_cdf(-m))
-        c1 = -lam1 * (m + lam1)
-        c0 = -lam0 * (-m + lam0)
-        gm = w1 * lam1 - w0 * lam0
-        cm = w1 * c1 + w0 * c0
-    grad = np.concatenate([[gm.sum()], design.T @ gm])
-    k = params.k
-    hess = np.empty((1 + k, 1 + k))
-    hess[0, 0] = cm.sum()
-    hess[0, 1:] = hess[1:, 0] = design.T @ cm
-    hess[1:, 1:] = np.einsum("n,ni,nj->ij", cm, design, design)
+        g_d, h_dd, cross = _graded_intercepts(wt, *extra)
+    t_count = params.intercepts.size
+    grad = np.empty(t_count + params.k)
+    grad[:t_count], grad[t_count:] = g_d, design.T @ gm
+    hess = np.empty((grad.size, grad.size))
+    hess[:t_count, :t_count] = h_dd
+    hess[:t_count, t_count:] = cross @ design
+    hess[t_count:, :t_count] = hess[:t_count, t_count:].T
+    hess[t_count:, t_count:] = (design.T * cm) @ design
     return grad, hess
 
 
-def _gpc_grad_hess(design, w, params):
-    t_count = params.intercepts.size
-    p = category_probs(design, params, Link.LOGIT)
+def _gpc_intercepts(w, p):
+    """Step gradient, step Hessian and (T, n) step-by-m cross terms."""
+    t_count = p.shape[1] - 1
     tgrid = np.arange(t_count + 1, dtype=float)
     n_r = w.sum(axis=1)
     # reverse cumulative sums over categories, columns v = 1..t_count
@@ -474,67 +495,29 @@ def _gpc_grad_hess(design, w, params):
     tp = p * tgrid[None, :]
     tp_ge = np.cumsum(tp[:, ::-1], axis=1)[:, ::-1][:, 1:]
     mean_t = tp.sum(axis=1)
-    var_t = p @ (tgrid**2) - mean_t**2
-    w_t = w @ tgrid
     g_d = (w_ge - n_r[:, None] * p_ge).sum(axis=0)
-    g_a = design.T @ (w_t - n_r * mean_t)
     idx = np.maximum.outer(np.arange(t_count), np.arange(t_count))
     h_dd = -np.einsum("n,nvw->vw", n_r, p_ge[:, idx]) + np.einsum(
         "n,nv,nw->vw", n_r, p_ge, p_ge
     )
-    cov_bt = tp_ge - p_ge * mean_t[:, None]
-    h_da = -np.einsum("n,nv,nk->vk", n_r, cov_bt, design)
-    h_aa = -np.einsum("n,nk,nl->kl", n_r * var_t, design, design)
-    grad = np.concatenate([g_d, g_a])
-    dim = t_count + params.k
-    hess = np.empty((dim, dim))
-    hess[:t_count, :t_count] = h_dd
-    hess[:t_count, t_count:] = h_da
-    hess[t_count:, :t_count] = h_da.T
-    hess[t_count:, t_count:] = h_aa
-    return grad, hess
+    return g_d, h_dd, -(n_r[:, None] * (tp_ge - p_ge * mean_t[:, None])).T
 
 
-def _graded_grad_hess(design, w, params, link):
-    t_count = params.intercepts.size
-    k = params.k
-    n = design.shape[0]
-    m = design @ params.loadings
-    z = params.intercepts[None, :] + m[:, None]
-    cells = np.clip(_graded_cells(z, link), _CLIP_LO, None)
-    gpad = np.column_stack([np.zeros(n), link.pdf(z), np.zeros(n)])
-    hpad = np.column_stack([np.zeros(n), link.dpdf(z), np.zeros(n)])
-    dim = t_count + k
-    grad = np.zeros(dim)
-    hess = np.zeros((dim, dim))
-    for t in range(t_count + 1):
-        wt = w[:, t]
-        if not np.any(wt > 0):
-            continue
-        f = cells[:, t]
-        up = gpad[:, t + 1] / f
-        lo = gpad[:, t] / f
-        alpha = hpad[:, t + 1] / f
-        beta = hpad[:, t] / f
-        delta = up - lo
-        grad[t_count:] += design.T @ (wt * delta)
-        hess[t_count:, t_count:] += np.einsum(
-            "n,ni,nj->ij", wt * (alpha - beta - delta**2), design, design
-        )
-        if t < t_count:
-            grad[t] += np.sum(wt * up)
-            hess[t, t] += np.sum(wt * (alpha - up**2))
-            block = design.T @ (wt * (alpha - up * delta))
-            hess[t, t_count:] += block
-            hess[t_count:, t] += block
-        if t > 0:
-            grad[t - 1] -= np.sum(wt * lo)
-            hess[t - 1, t - 1] += np.sum(wt * (-beta - lo**2))
-            block = design.T @ (wt * (-beta + lo * delta))
-            hess[t - 1, t_count:] += block
-            hess[t_count:, t - 1] += block
-        if 0 < t < t_count:
-            cross = np.sum(wt * up * lo)
-            hess[t, t - 1] += cross
-            hess[t - 1, t] += cross
-    return grad, hess
+def _graded_intercepts(w, g, h, inv):
+    """Threshold gradient, threshold Hessian and (T, n) threshold-by-m cross
+    terms, all cutpoints at once, from (n_cat, n) weights.  Cutpoint t is
+    the upper end of cell t and the lower end of cell t + 1; the ratios
+    G'(z_t)/f of those two cells are formed before squaring, so far-tail
+    cells whose density and probability both underflow give 0, not 0 * inf."""
+    q = w * inv
+    up = g * inv[:-1]  # G'(z_t) / f_t
+    lo = g * inv[1:]  # G'(z_t) / f_{t+1}
+    diag = h * (q[:-1] - q[1:]) - w[:-1] * up**2 - w[1:] * lo**2
+    off = w[1:-1] * up[1:] * lo[:-1]  # cutpoints t, t+1 share cell t+1
+    cross = diag.copy()
+    cross[1:] += off
+    cross[:-1] += off
+    band = np.arange(g.shape[0] - 1)
+    h_dd = np.diag(diag.sum(axis=1))
+    h_dd[band, band + 1] = h_dd[band + 1, band] = off.sum(axis=1)
+    return (w[:-1] * up - w[1:] * lo).sum(axis=1), h_dd, cross

@@ -108,6 +108,30 @@ class TestFitCommand:
         assert code == 2
         assert "k+1 persons and items" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "estimator, flags",
+        [
+            ("cjmle", ("--max-iters", 0)),
+            ("cjmle", ("--tol", 0)),
+            ("em", ("--max-iters", 0)),
+            ("em", ("--tol", 0)),
+            ("mcem", ("--max-iters", 0)),
+            ("stem", ("--burn-in", 0, "--total-iters", 150)),
+            ("sa", ("--total-iters", 0)),
+        ],
+    )
+    def test_zero_flag_value_is_user_error(self, tmp_path, capsys, estimator, flags):
+        # a 0 is a value, not a missing flag: the config's own check rejects it
+        panel = simulate_panel(tmp_path)
+        out = tmp_path / "zero"
+        code = run(
+            "--command", "fit", "--estimator", estimator, "--k", 1,
+            "--input", panel / "data.csv", "--output-dir", out, *flags,
+        )
+        assert code == 2
+        assert "ifa: error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_malformed_csv_names_row_and_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("q1,q2\n1,0\n1,what\n")

@@ -24,7 +24,14 @@ from ifa import (
     irf_graded,
     log_joint_likelihood,
 )
-from ifa.models import MISSING, category_logprobs, soft_grad_hess, soft_loglik
+from ifa.models import (
+    MISSING,
+    category_logprobs,
+    observed_logprobs,
+    pointwise_score,
+    soft_grad_hess,
+    soft_loglik,
+)
 
 from conftest import MODEL_LINK_PAIRS, random_item
 
@@ -306,6 +313,28 @@ class TestGradients:
                 g_fd = fd_grad_beta(y, theta, item, link)
                 assert rel_err(g, g_fd) < FD_REL_TOL
 
+    def test_pointwise_score_and_curvature_match_finite_differences(self):
+        # theta moves along a / a'a, so the predictor m = a'theta moves by the step
+        rng = np.random.default_rng(17)
+        for kind, link in MODEL_LINK_PAIRS:
+            for _ in range(20):
+                k = int(rng.integers(1, 4))
+                item = (
+                    make_graded_item(None, rng, k)
+                    if kind is ModelKind.GRADED
+                    else random_item(kind, k, rng, categories=4)
+                )
+                theta = rng.normal(size=(8, k))
+                y = rng.integers(0, item.n_categories, size=8)
+                shift = FD_STEP * item.loadings / (item.loadings @ item.loadings)
+                score, curv = pointwise_score(y, theta, item, link)
+                up = observed_logprobs(y, theta + shift, item, link)
+                lo = observed_logprobs(y, theta - shift, item, link)
+                assert rel_err(score, (up - lo) / (2 * FD_STEP)) < FD_REL_TOL
+                up = pointwise_score(y, theta + shift, item, link)[0]
+                lo = pointwise_score(y, theta - shift, item, link)[0]
+                assert rel_err(curv, (up - lo) / (2 * FD_STEP)) < FD_REL_TOL
+
     def test_binary_logit_canonical_identities(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -363,6 +392,27 @@ class TestWeightedItemObjective:
                 fd[i] = (value(up) - value(lo)) / (2 * FD_STEP)
             assert rel_err(grad, fd) < 1e-5
             np.testing.assert_allclose(hess, hess.T, atol=1e-10)
+            fd_hess = np.zeros_like(hess)
+            for i in range(base.size):
+                up, lo = base.copy(), base.copy()
+                up[i] += FD_STEP
+                lo[i] -= FD_STEP
+                g_up = soft_grad_hess(design, weights, ItemParams(kind, up[:nc], up[nc:]), link)[0]
+                g_lo = soft_grad_hess(design, weights, ItemParams(kind, lo[:nc], lo[nc:]), link)[0]
+                fd_hess[:, i] = (g_up - g_lo) / (2 * FD_STEP)
+            assert rel_err(hess, fd_hess) < 1e-5
+
+    def test_zero_weight_category_and_far_tail_rows_stay_finite(self):
+        # tied thresholds leave category 2 with probability 0 at every row;
+        # its zero weights must contribute exactly nothing, even where the
+        # cells and densities underflow far out in the tails
+        item = ItemParams(ModelKind.GRADED, np.array([-1.0, 0.5, 0.5]), np.array([1.0, 0.5]))
+        design = np.array([[0.3, -0.2], [1.5, 0.4], [-40.0, 3.0], [45.0, -2.0], [-1e3, 1.0], [1e3, 0.0]])
+        weights = np.tile([0.6, 0.3, 0.0, 0.8], (len(design), 1))
+        for link in (Link.LOGIT, Link.PROBIT):
+            grad, hess = soft_grad_hess(design, weights, item, link)
+            assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+            np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
 
     def test_one_hot_weights_recover_pointwise_loglik(self):
         rng = np.random.default_rng(14)
