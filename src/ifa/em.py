@@ -6,11 +6,14 @@ Gauss-Hermite grid.  The other three share one sampled E-step: warm
 person-factor chains (Gibbs for probit binary and graded items, random-walk
 Metropolis-Hastings otherwise) give draws of the factors, and the stacked
 draws with the 0/1 category indicators of the responses (zero rows at
-missing cells) are the complete data.  MCEM and StEM fit it by per-item
-weighted Newton M-steps and a factor-correlation update rescaled to unit
-diagonal: MCEM from growing batches of consecutive draws, StEM from one draw
-per iteration, averaging the iterates after burn-in.  SA takes a stochastic
-gradient step instead, preconditioned by a running information estimate.
+missing cells) are the complete data.  Every engine takes the factor
+correlation from the posterior second moment of the factors, rescaled to
+unit diagonal.  MCEM and StEM fit the complete data by per-item weighted
+Newton M-steps: MCEM from growing batches of consecutive draws, StEM from
+one draw per iteration, averaging the iterates after burn-in.  SA takes
+Robbins-Monro steps instead: stochastic gradient steps for the items,
+preconditioned by a running information estimate, and a step of the
+factor covariance toward the draws' second moment.
 """
 from __future__ import annotations
 
@@ -203,10 +206,16 @@ def _free_masks(items, q):
 
 
 def _mstep_items(items, design, weights_list, link: Link, masks):
-    """Per-item weighted Newton fits; returns (items, number of failed line searches)."""
+    """Per-item weighted Newton fits; returns (items, number of failed line searches).
+
+    Per-person weight rows of a design that stacks several draws of every
+    person are repeated over the draws, one item at a time.
+    """
     out = []
     failed = 0
     for item, w, mask in zip(items, weights_list, masks):
+        if len(w) < len(design):
+            w = np.tile(w, (len(design) // len(w), 1))
         result = fit_item(
             design, w, item, link, free_mask=mask, max_steps=50, grad_tol=_MSTEP_TOL
         )
@@ -377,8 +386,8 @@ class _ChainPool:
 def _sampled_start(data, k: int, model, link, q, seed: int):
     """Checked inputs and starting state shared by the sampled engines.
 
-    Returns (link, q, items, chains, indicators), the indicators an
-    (item, person, category) array built once per fit.
+    Returns (link, q, items, chains, weights), the weights each item's
+    (person, category) slice of the 0/1 category indicators, built once per fit.
     """
     link = as_link(link)
     model = _default_model(data, model)
@@ -389,14 +398,13 @@ def _sampled_start(data, k: int, model, link, q, seed: int):
     items = default_items(data, k, model, link, q)
     chains = _ChainPool(data, k, link, model, seed)
     indicators = _indicators(data.responses.T, int(data.categories.max()))
-    return link, q, items, chains, indicators
+    return link, q, items, chains, _item_weights(indicators, items)
 
 
-def _item_weights(indicators, items, n_draws: int = 1) -> list:
-    """Each item's (draw x person, category) weights: its slice of the
-    (item, person, category) indicators, tiled over n_draws stacked draws."""
-    tiled = np.tile(indicators, (1, n_draws, 1))
-    return [tiled[j, :, : it.n_categories] for j, it in enumerate(items)]
+def _item_weights(indicators, items) -> list:
+    """Each item's (person, category) weights: its slice of the
+    (item, person, category) indicators."""
+    return [indicators[j, :, : it.n_categories] for j, it in enumerate(items)]
 
 
 def _sampled_em(data, k, model, link, q, seed, schedule, thin: int, adapt_iters: int):
@@ -405,7 +413,7 @@ def _sampled_em(data, k, model, link, q, seed, schedule, thin: int, adapt_iters:
 
     Returns (items, correlation, trajectory, M-step failures per iteration).
     """
-    link, q, items, chains, indicators = _sampled_start(data, k, model, link, q, seed)
+    link, q, items, chains, weights = _sampled_start(data, k, model, link, q, seed)
     corr = np.eye(k)
     masks = _free_masks(items, q)
     trajectory = []
@@ -413,10 +421,7 @@ def _sampled_em(data, k, model, link, q, seed, schedule, thin: int, adapt_iters:
     for t, n_draws in enumerate(schedule):
         chains.refresh(items, corr)
         design = chains.draw(n_draws, thin, adapt=t < adapt_iters)
-        # unnamed, the weights are freed before the next iteration tiles its own
-        items, failed = _mstep_items(
-            items, design, _item_weights(indicators, items, n_draws), link, masks
-        )
+        items, failed = _mstep_items(items, design, weights, link, masks)
         mstep_failures.append(failed)
         second = design.T @ design / design.shape[0]
         corr, items = _rescale_correlation(second, items, compensate=True)
@@ -526,7 +531,7 @@ def fit_stem(
 class SaConfig:
     total_iters: int = 500
     warmup: int = 50
-    # callable t -> gamma_t (1-based t); None = plateau of 1 then 1/(t - warmup)
+    # callable t -> gamma_t in [0, 1] (1-based t); None = plateau of 1 then 1/(t - warmup)
     gain_schedule: Callable[[int], float] | None = None
     use_hessian: bool = True
     seed: int = 0
@@ -538,60 +543,14 @@ class SaConfig:
             raise ValueError("need 0 <= warmup < total_iters")
 
     def gamma(self, t: int) -> float:
-        """Gain for 1-based iteration t."""
-        if self.gain_schedule is not None:
-            return float(self.gain_schedule(t))
-        return 1.0 if t <= self.warmup else 1.0 / (t - self.warmup)
-
-
-def _corr_chol_coords(corr: np.ndarray) -> np.ndarray:
-    chol = np.linalg.cholesky(corr)
-    k = corr.shape[0]
-    return np.concatenate([np.log(np.diag(chol)), chol[np.tril_indices(k, -1)]])
-
-
-def _chol_from_coords(c: np.ndarray, k: int) -> np.ndarray:
-    chol = np.zeros((k, k))
-    chol[np.diag_indices(k)] = np.exp(c[:k])
-    chol[np.tril_indices(k, -1)] = c[k:]
-    return chol
-
-
-def _corr_loglik(c: np.ndarray, moment: np.ndarray, n_persons: float, k: int) -> float:
-    """Multivariate-normal complete-data log-likelihood in Cholesky coords."""
-    chol = _chol_from_coords(c, k)
-    logdet = 2.0 * float(np.sum(c[:k]))
-    inv_m = sla.cho_solve((chol, True), moment)
-    return -0.5 * n_persons * logdet - 0.5 * float(np.trace(inv_m))
-
-
-def _corr_grad(c: np.ndarray, moment: np.ndarray, n_persons: float, k: int) -> np.ndarray:
-    chol = _chol_from_coords(c, k)
-    sigma_inv = sla.cho_solve((chol, True), np.eye(k))
-    g_sigma = -0.5 * n_persons * sigma_inv + 0.5 * sigma_inv @ moment @ sigma_inv
-    gl = 2.0 * g_sigma @ chol
-    return np.concatenate([np.diag(gl) * np.diag(chol), gl[np.tril_indices(k, -1)]])
-
-
-def _corr_fd_info(c: np.ndarray, moment: np.ndarray, n_persons: float, k: int) -> np.ndarray:
-    """Negative finite-difference Hessian of the correlation block."""
-    d = c.size
-    h = 1e-5
-    hess = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            pp = c.copy(); pp[a] += h; pp[b] += h
-            pm = c.copy(); pm[a] += h; pm[b] -= h
-            mp = c.copy(); mp[a] -= h; mp[b] += h
-            mm = c.copy(); mm[a] -= h; mm[b] -= h
-            val = (
-                _corr_loglik(pp, moment, n_persons, k)
-                - _corr_loglik(pm, moment, n_persons, k)
-                - _corr_loglik(mp, moment, n_persons, k)
-                + _corr_loglik(mm, moment, n_persons, k)
-            ) / (4.0 * h * h)
-            hess[a, b] = hess[b, a] = val
-    return -hess
+        """Gain for 1-based iteration t.  A schedule's gains must lie in
+        [0, 1], where the correlation step is a convex combination."""
+        if self.gain_schedule is None:
+            return 1.0 if t <= self.warmup else 1.0 / (t - self.warmup)
+        gain = float(self.gain_schedule(t))
+        if not 0.0 <= gain <= 1.0:
+            raise ValueError(f"SA gain at iteration {t} is {gain}; gains must lie in [0, 1]")
+        return gain
 
 
 def _precondition(gamma_block, grad, use_hessian: bool):
@@ -614,20 +573,33 @@ def fit_sa_mcmc(
     model=None,
     link: Link = Link.LOGIT,
 ) -> MarginalFit:
-    """Stochastic approximation: gradient steps along stochastic gradients of
-    the marginal log-likelihood (Fisher identity), optionally preconditioned
-    by a Robbins-Monro estimate of the complete-data information."""
+    """Stochastic approximation (MH-RM): Robbins-Monro steps along stochastic
+    gradients of the marginal log-likelihood (Fisher identity), optionally
+    preconditioned by a Robbins-Monro estimate of the items' complete-data
+    information.
+
+    For theta ~ N(0, Sigma) the complete-data information is
+    (N/2)(Sigma^-1 kron Sigma^-1), and Fisher scoring with it steps Sigma by
+    exactly M/N - Sigma, M the draws' second moment.  Sigma takes gamma_t of
+    that step (a convex combination, so positive definite) and is rescaled
+    to unit diagonal.
+
+    info["psi_trail"] holds the start and every iterate: each item's internal
+    parameters, then the correlation's strict lower triangle in pack_params
+    order.  info["h_trail"] holds each step in that layout: the item
+    gradients, then the lower triangle of M/N - Sigma.  info["fallback_iters"]
+    lists the iterations where an item's information estimate was not
+    positive definite and the plain gradient was used.
+    """
     config = sa_config or SaConfig()
-    link, q, items, chains, indicators = _sampled_start(data, k, model, link, q, config.seed)
+    link, q, items, chains, weights = _sampled_start(data, k, model, link, q, config.seed)
     corr = np.eye(k)
+    lower = np.tril_indices(k, -1)
     masks = [resolve_free_mask(it, m) for it, m in zip(items, _free_masks(items, q))]
-    weights = _item_weights(indicators, items)
     x_items = [to_internal(it, m) for it, m in zip(items, masks)]
-    c_corr = _corr_chol_coords(corr) if k > 1 else np.zeros(0)
     gammas = [np.zeros((x.size, x.size)) for x in x_items]
-    gamma_corr = np.zeros((c_corr.size, c_corr.size))
     trajectory = []
-    psi_trail = [np.concatenate(x_items + [c_corr])]
+    psi_trail = [np.concatenate(x_items + [corr[lower]])]
     h_trail = []
     fallback_iters = []
     for t in range(1, config.total_iters + 1):
@@ -644,25 +616,14 @@ def fit_sa_mcmc(
             fell_back = fell_back or fb
             h_parts.append(g)
             new_x.append(x_items[j] + gamma_t * direction)
-        h_corr = np.zeros(0)
-        if k > 1:
-            moment = design.T @ design
-            g_corr = _corr_grad(c_corr, moment, data.n_persons, k)
-            info_corr = _corr_fd_info(c_corr, moment, data.n_persons, k)
-            gamma_corr = gamma_corr + gamma_t * (info_corr - gamma_corr)
-            direction, fb = _precondition(gamma_corr, g_corr, config.use_hessian)
-            fell_back = fell_back or fb
-            h_corr = g_corr
-            c_new = c_corr + gamma_t * direction
-            chol = _chol_from_coords(c_new, k)
-            corr, _ = _rescale_correlation(chol @ chol.T, items, compensate=False)
-            c_corr = _corr_chol_coords(corr)
+        h_corr = design.T @ design / data.n_persons - corr
+        corr, _ = _rescale_correlation(corr + gamma_t * h_corr, items, compensate=False)
         x_items = new_x
         items = [from_internal(x, it, m) for x, it, m in zip(x_items, items, masks)]
         if fell_back:
             fallback_iters.append(t)
-        h_trail.append(np.concatenate(h_parts + [h_corr]))
-        psi_trail.append(np.concatenate(x_items + [c_corr]))
+        h_trail.append(np.concatenate(h_parts + [h_corr[lower]]))
+        psi_trail.append(np.concatenate(x_items + [corr[lower]]))
         trajectory.append(pack_params(items, corr))
     return MarginalFit(
         items=items,

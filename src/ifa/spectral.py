@@ -96,24 +96,21 @@ def require_rank(data: Dataset, k: int) -> None:
 
 
 def fit_svd_binary(data: Dataset, k: int, link: Link = Link.LOGIT) -> SpectralFit:
-    """Spectral estimator for a binary dataset."""
-    link = as_link(link)
+    """Spectral estimator for a binary dataset: the one split of fit_svd_ordinal."""
     if np.any(data.categories != 2):
         raise ValueError("fit_svd_binary requires every item to be binary")
-    require_rank(data, k)
-    thetas, loadings, intercepts, p_hat = _binary_pipeline(
-        data.responses == 1, data.observed_mask, k, link
-    )
-    return SpectralFit(thetas, loadings, intercepts, p_hat, splits_used=[1])
+    return fit_svd_ordinal(data, k, link)
 
 
 def fit_svd_ordinal(data: Dataset, k: int, link: Link = Link.LOGIT) -> SpectralFit:
     """Spectral estimator for ordinal data via split-point dichotomization.
 
     Split s dichotomizes at 1{y >= s}.  Splits whose columns are all constant
-    are skipped.  Per-split solutions are aligned to the first usable split;
-    each item's loading estimate averages over the splits below its own
-    category count, and thetas average over all usable splits.
+    are skipped, except the only split of a binary panel, which then gives
+    the degenerate rank-one fit or the rank error.  Per-split solutions are
+    aligned to the first usable split; each item's loading estimate averages
+    over the splits below its own category count, and thetas average over all
+    usable splits.
     """
     link = as_link(link)
     require_rank(data, k)
@@ -124,11 +121,7 @@ def fit_svd_ordinal(data: Dataset, k: int, link: Link = Link.LOGIT) -> SpectralF
     used = []
     for s in range(1, max_split + 1):
         binary = data.responses >= s
-        const_col = np.ones(data.n_items, dtype=bool)
-        for j in range(data.n_items):
-            vals = binary[observed[:, j], j]
-            const_col[j] = vals.size == 0 or np.all(vals == vals[0])
-        if const_col.all():
+        if max_split > 1 and np.all(~(binary & observed).any(0) | ~(~binary & observed).any(0)):
             continue
         thetas, loadings, intercepts, p_hat = _binary_pipeline(binary, observed, k, link)
         if ref_loadings is None:

@@ -2,8 +2,8 @@
 
 `bench/tracer.py` wraps module attributes of `ifa` by name, so renaming or
 removing one of them makes `bench/run.py --trace 1` fail with an
-AttributeError.  These tests install the tracer around tiny CJMLE fits and
-check its counts and that uninstalling restores every attribute.
+AttributeError.  These tests install the tracer around tiny CJMLE, MCEM and
+SA fits and check its counts and that uninstalling restores every attribute.
 """
 from __future__ import annotations
 
@@ -40,6 +40,12 @@ def load_tracer():
     return module
 
 
+def assert_restored(before):
+    for owner, attrs in zip(OWNERS, before):
+        for name, value in attrs.items():
+            assert vars(owner)[name] is value, f"{owner.__name__}.{name} not restored"
+
+
 @pytest.mark.parametrize("model, categories", [("binary", 2), ("graded", 3)])
 def test_tracer_counts_cjmle_blocks_and_restores(model, categories):
     tr = load_tracer()
@@ -57,9 +63,7 @@ def test_tracer_counts_cjmle_blocks_and_restores(model, categories):
         fit = ifa.cjmle.fit_cjmle(data, 1, model=model)
     finally:
         tracer.uninstall()
-    for owner, attrs in zip(OWNERS, before):
-        for name, value in attrs.items():
-            assert vars(owner)[name] is value, f"{owner.__name__}.{name} not restored"
+    assert_restored(before)
     calls = tracer.calls()
     assert calls["cjmle.person_block"] == fit.n_iters
     assert calls["cjmle.item_block"] == fit.n_iters
@@ -67,3 +71,29 @@ def test_tracer_counts_cjmle_blocks_and_restores(model, categories):
     # binary items are one batched solve; graded items still call fit_item
     per_item = 0 if model == "binary" else n_items
     assert calls["itemfit.fit_item"] == per_item * fit.n_iters
+
+
+def test_tracer_counts_sampled_engines_and_restores():
+    tr = load_tracer()
+    n_items = 6
+    data, _, _ = simulate(SimSpec(120, n_items, k=1, seed=6))
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        mcem = ifa.em.fit_mcem(data, 1, ifa.em.McemConfig(max_iters=3, draws_start=2, seed=1))
+        after_mcem = dict(tracer.calls())
+        sa = ifa.em.fit_sa_mcmc(data, 1, ifa.em.SaConfig(total_iters=4, warmup=1, seed=1))
+    finally:
+        tracer.uninstall()
+    assert_restored(before)
+    calls = tracer.calls()
+    assert after_mcem["em.mstep"] == mcem.n_iters
+    assert after_mcem["itemfit.fit_item"] == n_items * mcem.n_iters
+    # SA fits no item to convergence: one gradient and information per item per iteration
+    assert calls["em.mstep"] == mcem.n_iters
+    assert calls["itemfit.fit_item"] == n_items * mcem.n_iters
+    grad_hess = calls["itemfit.grad_hess"] - after_mcem.get("itemfit.grad_hess", 0)
+    assert grad_hess == n_items * sa.n_iters
+    # MCEM hands each M-step the per-person indicators, not copies tiled over its draws
+    assert tracer.maxima["em.mstep_weight_mb"] == data.n_persons * n_items * 2 * 8 / 2**20

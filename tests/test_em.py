@@ -362,6 +362,19 @@ class TestSaMcmc:
             SaConfig(total_iters=10, warmup=10)
         with pytest.raises(ValueError):
             SaConfig(total_iters=0)
+        # the correlation step is a convex combination only for gains in [0, 1]
+        for gain in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                SaConfig(gain_schedule=lambda t: gain).gamma(1)
+        assert SaConfig(gain_schedule=lambda t: 1.0).gamma(1) == 1.0
+
+    def test_two_factor_correlation_close_to_quadrature(self):
+        q = np.eye(2, dtype=int)[np.arange(12) % 2]
+        corr = np.array([[1.0, 0.4], [0.4, 1.0]])
+        data, _, _ = simulate(SimSpec(1000, 12, k=2, q_matrix=q, correlation=corr, seed=9))
+        reference = fit_em_quadrature(data, 2, q=q)
+        fit = fit_sa_mcmc(data, 2, SaConfig(seed=0), q=q)
+        assert abs(fit.correlation[1, 0] - reference.correlation[1, 0]) < 0.05
 
 
 class TestStochasticGradient:

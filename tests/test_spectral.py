@@ -15,6 +15,7 @@ from ifa.models import Dataset, Link, loadings_matrix
 from ifa.simulate import SimSpec, simulate
 from ifa.spectral import (
     SpectralFit,
+    _binary_pipeline,
     decompose_probability_matrix,
     fit_svd_binary,
     fit_svd_ordinal,
@@ -131,13 +132,19 @@ class TestBinaryFit:
 
 class TestOrdinalFit:
     def test_binary_input_reduces_to_binary_fit(self):
-        data, _, _ = simulate(SimSpec(n_persons=300, n_items=20, k=2, seed=6))
+        # fit_svd_binary is fit_svd_ordinal's one split: the binary pipeline on 1{y == 1}
+        data, _, _ = simulate(
+            SimSpec(n_persons=300, n_items=20, k=2, missing_rate=0.1, seed=6)
+        )
         ordinal = fit_svd_ordinal(data, 2)
-        binary = fit_svd_binary(data, 2)
+        thetas, loadings, intercepts, p_hat = _binary_pipeline(
+            data.responses == 1, data.observed_mask, 2, Link.LOGIT
+        )
         assert ordinal.splits_used == [1]
-        np.testing.assert_array_equal(ordinal.thetas, binary.thetas)
-        np.testing.assert_array_equal(ordinal.loadings, binary.loadings)
-        np.testing.assert_array_equal(ordinal.intercepts, binary.intercepts)
+        np.testing.assert_array_equal(ordinal.thetas, thetas)
+        np.testing.assert_array_equal(ordinal.loadings, loadings)
+        np.testing.assert_array_equal(ordinal.intercepts, intercepts)
+        np.testing.assert_array_equal(ordinal.p_hat, p_hat)
 
     def test_split_bookkeeping_with_one_three_category_item(self):
         rng = np.random.default_rng(7)
