@@ -21,9 +21,6 @@ from .models import (
     category_probs,
     grad_wrt_beta,
     grad_wrt_theta,
-    irf_binary,
-    irf_gpc,
-    irf_graded,
     loadings_matrix,
     log_joint_likelihood,
     person_logliks,
@@ -78,9 +75,6 @@ __all__ = [
     "category_probs",
     "grad_wrt_beta",
     "grad_wrt_theta",
-    "irf_binary",
-    "irf_gpc",
-    "irf_graded",
     "loadings_matrix",
     "log_joint_likelihood",
     "person_logliks",

@@ -14,19 +14,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .identify import check_q_matrix, standardize_factors
-from .itemfit import _MAX_HALVINGS, _ROUNDOFF_GAIN, fit_item, project_ball
+from .itemfit import _MAX_HALVINGS, _ROUNDOFF_GAIN, _project_rows, fit_item, project_ball
 from .models import (
     MISSING,
     Dataset,
     ItemParams,
     Link,
     ModelKind,
-    _log_pdf,
+    _binary_cell,
+    _default_model,
     as_link,
-    as_model,
     loadings_matrix,
     log_joint_likelihood,
     person_logliks,
@@ -68,12 +67,6 @@ class CjmleFit:
     flagged_items: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
-def _project_rows(thetas: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(thetas, axis=1)
-    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-    return thetas * scale[:, None]
-
-
 def _all_binary(items) -> bool:
     return all(item.kind is ModelKind.BINARY for item in items)
 
@@ -84,7 +77,8 @@ def _binary_cells(responses, design, offset, link: Link):
     Cell (b, m) has the predictor x_b . design_m + offset_m.  The work arrays
     are reused, so each call overwrites what the previous one returned.
     """
-    down = np.ascontiguousarray(responses != 1)  # code 0, and missing cells
+    # d sz / dz: 1 at code 1, -1 at code 0, 0 at missing cells
+    sign = np.subtract(responses == 1, responses == 0, dtype=np.int8, order="C")
     observed = np.ascontiguousarray(responses != MISSING)
     work = np.empty((3,) + responses.shape)
 
@@ -93,27 +87,13 @@ def _binary_cells(responses, design, offset, link: Link):
         np.matmul(design, x.T, out=z.T)  # transposed: far faster in OpenBLAS
         if offset is not None:
             z += offset
-        dn, obs = down[rows], observed[rows]
-        if link is Link.PROBIT:
-            z[dn] *= -1.0  # sz = sign * z, sign -1 at code 0
-            if derivs:  # lam = G'(sz) / G(sz): score sign lam, curvature -lam (sz + lam)
-                lam = np.exp(_log_pdf(z, link) - special.log_ndtr(z))
-                np.multiply(-lam, z + lam, out=c)
-                s[...] = np.where(dn, -lam, lam)
-            else:
-                special.log_ndtr(z, out=s)
-        elif derivs:  # score y - G(z), curvature G(z) (G(z) - 1)
-            special.expit(z, out=c)
-            np.subtract(1.0, c, out=s)
-            s -= dn
-            c *= np.subtract(c, 1.0, out=z)
-        else:  # log G(z) = min(z, 0) - log1p(exp(-|z|)), less z at code 0
-            np.log1p(np.exp(np.negative(np.abs(z, out=s), out=s), out=s), out=s)
-            np.subtract(np.minimum(z, 0.0, out=c), s, out=s)
-            s -= np.multiply(z, dn, out=c)
-        s *= obs
+        sg, obs = sign[rows], observed[rows]
+        z *= sg  # the signed predictor sz
+        _binary_cell(z, link, derivs, out=(s, c))
         if not derivs:
+            s *= obs
             return s.sum(axis=1)
+        s *= sg  # d/dz = sign * d/dsz, and 0 at missing cells
         c *= obs
         return s, c
 
@@ -338,9 +318,7 @@ def fit_cjmle(
     if k < 1:
         raise ValueError("k must be at least 1")
     config = config or CjmleConfig()
-    if model is None:
-        model = ModelKind.BINARY if np.all(data.categories == 2) else ModelKind.GRADED
-    model = as_model(model)
+    model = _default_model(model, data.categories)
     if q is not None:
         q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
     if init is None:

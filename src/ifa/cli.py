@@ -27,7 +27,7 @@ from .em import (
     fit_sa_mcmc,
     fit_stem,
 )
-from .models import Link, ModelKind, as_link, as_model
+from .models import Link, ModelKind, _default_model, as_link
 from .simulate import SimSpec, recovery_report, simulate, theta_correlations
 from .start import spectral_start
 
@@ -101,12 +101,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _resolve_model(args: argparse.Namespace, categories) -> ModelKind:
-    if args.model is not None:
-        return as_model(args.model)
-    return ModelKind.BINARY if np.all(np.asarray(categories) == 2) else ModelKind.GRADED
-
-
 def _check_model_link(model: ModelKind, link: Link) -> None:
     if model is ModelKind.GPC and link is not Link.LOGIT:
         raise CliError("the adjacent-odds (gpc) model supports the logit link only")
@@ -114,7 +108,7 @@ def _check_model_link(model: ModelKind, link: Link) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    model = _resolve_model(args, [args.categories])
+    model = _default_model(args.model, [args.categories])
     link = as_link(args.link)
     _check_model_link(model, link)
     try:
@@ -237,7 +231,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"malformed dataset {args.input}: {exc}") from exc
-    model = _resolve_model(args, data.categories)
+    model = _default_model(args.model, data.categories)
     link = as_link(args.link)
     _check_model_link(model, link)
     if model is ModelKind.BINARY and np.any(data.categories != 2):

@@ -33,8 +33,8 @@ from .models import (
     ItemParams,
     Link,
     ModelKind,
+    _default_model,
     as_link,
-    as_model,
     category_logprobs,
     response_matrix,
 )
@@ -250,12 +250,6 @@ class MarginalFit:
     info: dict = field(default_factory=dict)
 
 
-def _default_model(data, model):
-    if model is None:
-        return ModelKind.BINARY if np.all(data.categories == 2) else ModelKind.GRADED
-    return as_model(model)
-
-
 # ---------------------------------------------------------------------------
 # quadrature EM
 
@@ -284,7 +278,7 @@ def fit_em_quadrature(
     link = as_link(link)
     _require_small_k(k)
     config = config or EmConfig()
-    model = _default_model(data, model)
+    model = _default_model(model, data.categories)
     if q is not None:
         q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
     if init_items is not None:
@@ -390,7 +384,7 @@ def _sampled_start(data, k: int, model, link, q, seed: int):
     (person, category) slice of the 0/1 category indicators, built once per fit.
     """
     link = as_link(link)
-    model = _default_model(data, model)
+    model = _default_model(model, data.categories)
     if q is None:  # a Q matrix fixes the rotation; exploratory fits need k+1 items
         require_rank(data, k)
     else:

@@ -92,15 +92,20 @@ def internal_grad_hess(params: ItemParams, design, weights, link: Link, free_mas
     return g_out, h_out
 
 
+def _project_rows(x: np.ndarray, radius: float) -> np.ndarray:
+    """Radially shrink each row of x onto the ball of the given radius."""
+    norms = np.linalg.norm(x, axis=1)
+    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    return x * scale[:, None]
+
+
 def project_ball(params: ItemParams, radius) -> ItemParams:
     """Radially shrink (intercepts, loadings) onto the ball of given radius."""
     if radius is None:
         return params
-    norm = float(np.linalg.norm(params.beta()))
-    if norm <= radius:
-        return params
-    c = radius / norm
-    return ItemParams(params.kind, params.intercepts * c, params.loadings * c)
+    beta = _project_rows(params.beta()[None, :], radius)[0]
+    t_count = params.intercepts.size
+    return ItemParams(params.kind, beta[:t_count], beta[t_count:])
 
 
 def fit_item(

@@ -10,7 +10,12 @@ Three response families over a K-dimensional latent trait are supported:
 
 G is the logistic or standard-normal CDF.  Probability and derivative
 computations are vectorized over rows of latent-trait values; the scalar
-irf_* / grad_* functions are thin wrappers used mostly in tests.
+grad_* functions are thin wrappers used mostly in tests.
+
+A binary cell is one kernel, _binary_cell: log G at the signed predictor
+(z at code 1, -z at code 0) and its first two derivatives there.  The
+binary log-probabilities, the per-person log-likelihoods, the derivative
+core and the CJMLE binary blocks all call it.
 
 All derivatives come from one core, _predictor_derivs: the first and second
 derivatives of log f(t | theta) in the predictor m = a'theta at every row
@@ -37,6 +42,8 @@ _CLIP_LO = 1e-300
 _CLIP_HI = 1.0 - 1e-16
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+_LOG_SQRT_2PI = float(np.log(_SQRT_2PI))
+_BINARY_SIGNS = np.array([-1.0, 1.0])  # d sz / dz at codes 0 and 1
 
 
 class Link(enum.Enum):
@@ -67,12 +74,6 @@ class Link(enum.Enum):
             return p * special.expit(-x) * (1.0 - 2.0 * p)
         return -x * np.exp(-0.5 * x * x) / _SQRT_2PI
 
-    def log_cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self is Link.LOGIT:
-            return special.log_expit(x)
-        return special.log_ndtr(x)
-
     def inverse(self, p):
         p = np.asarray(p, dtype=float)
         if self is Link.LOGIT:
@@ -92,6 +93,13 @@ def as_link(link) -> Link:
 
 def as_model(model) -> ModelKind:
     return model if isinstance(model, ModelKind) else ModelKind(str(model).lower())
+
+
+def _default_model(model, categories) -> ModelKind:
+    """The given model, else binary if every item has 2 categories, else graded."""
+    if model is not None:
+        return as_model(model)
+    return ModelKind.BINARY if np.all(np.asarray(categories) == 2) else ModelKind.GRADED
 
 
 @dataclass
@@ -289,10 +297,7 @@ def category_logprobs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.
     theta = _theta_rows(theta, params.k)
     if params.kind is ModelKind.BINARY:
         m = params.intercepts[0] + theta @ params.loadings
-        if link is Link.LOGIT:
-            lc = link.log_cdf(m)  # log G(-m) = log G(m) - m, saves a pass
-            return np.column_stack([lc - m, lc])
-        return np.column_stack([link.log_cdf(-m), link.log_cdf(m)])
+        return _binary_cell(m[:, None] * _BINARY_SIGNS, link)
     if params.kind is ModelKind.GPC:
         logits = _gpc_logits(theta, params)
         return logits - special.logsumexp(logits, axis=1, keepdims=True)
@@ -300,31 +305,6 @@ def category_logprobs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.
     out = np.log(np.clip(p, _CLIP_LO, _CLIP_HI))
     out[p == 0.0] = -np.inf
     return out
-
-
-def irf_binary(theta, params: ItemParams, link: Link = Link.LOGIT) -> float:
-    """P(Y = 1 | theta) for a binary item."""
-    if params.kind is not ModelKind.BINARY:
-        raise ValueError("irf_binary requires a binary item")
-    return float(category_probs(theta, params, link)[0, 1])
-
-
-def irf_graded(theta, params: ItemParams, category: int, link: Link = Link.LOGIT) -> float:
-    """P(Y = category | theta) for a graded item."""
-    if params.kind is not ModelKind.GRADED:
-        raise ValueError("irf_graded requires a graded item")
-    if not 0 <= category < params.n_categories:
-        raise ValueError("category out of range")
-    return float(category_probs(theta, params, link)[0, category])
-
-
-def irf_gpc(theta, params: ItemParams, category: int) -> float:
-    """P(Y = category | theta) for a generalized partial credit item."""
-    if params.kind is not ModelKind.GPC:
-        raise ValueError("irf_gpc requires a gpc item")
-    if not 0 <= category < params.n_categories:
-        raise ValueError("category out of range")
-    return float(category_probs(theta, params, Link.LOGIT)[0, category])
 
 
 def pointwise_score(y, theta, params: ItemParams, link: Link):
@@ -344,8 +324,8 @@ def _predictor_derivs(theta, params: ItemParams, link: Link, weights):
     """d log f(t | theta)/dm and d^2 log f(t | theta)/dm^2 in the predictor
     m = a'theta for every category t and row, as (n_cat, n) arrays: one
     contiguous row per category, so that the few-category work runs along
-    the long axis.  A curvature that all categories share (binary logit,
-    gpc) comes as one (1, n) row.
+    the long axis.  A curvature that all categories share (gpc) comes as one
+    (1, n) row.
 
     Also returns what the family's intercept derivatives need: None for
     binary items, the (n, n_cat) category probabilities for gpc items, and
@@ -357,13 +337,10 @@ def _predictor_derivs(theta, params: ItemParams, link: Link, weights):
     m = theta @ params.loadings
     if params.kind is ModelKind.BINARY:
         z = np.add(m, params.intercepts[0], out=m)
-        if link is Link.LOGIT:
-            p = link.cdf(z)
-            return np.arange(2.0)[:, None] - p, (p * (p - 1.0))[None, :], None
-        # lam = G'(sz)/G(sz) at sz = -z, z; stable through the deep tail via log forms
-        sz = np.stack([-z, z])
-        lam = np.exp(_log_pdf(sz, link) - link.log_cdf(sz))
-        return np.stack([-lam[0], lam[1]]), -lam * (sz + lam), None
+        signs = _BINARY_SIGNS[:, None]
+        score, curv = _binary_cell(signs * z, link, derivs=True)
+        score *= signs  # d/dz = (d sz / dz) d/dsz
+        return score, curv, None
     if params.kind is ModelKind.GPC:
         p = category_probs(theta, params, link)
         tgrid = np.arange(params.n_categories, dtype=float)
@@ -382,10 +359,33 @@ def _predictor_derivs(theta, params: ItemParams, link: Link, weights):
     return score, curv, (gpad[1:-1], hpad[1:-1], inv)
 
 
-def _log_pdf(x, link: Link):
+def _binary_cell(sz, link: Link, derivs=False, out=None):
+    """Binary cells at signed predictors sz: z at code 1 and -z at code 0,
+    so that G(sz) is each cell's probability.
+
+    Returns log G(sz), or with derivs the pair (lam, curv) of its first and
+    second derivatives in sz: lam = G'(sz)/G(sz) and curv = dlam/dsz.  out
+    is a pair of arrays shaped like sz that receive the results; the value
+    uses the second as scratch.  sz itself is only read.
+    """
+    s, c = out or (np.empty_like(sz), np.empty_like(sz))
     if link is Link.LOGIT:
-        return 2.0 * special.log_expit(x) - x
-    return -0.5 * x * x - np.log(_SQRT_2PI)
+        if derivs:  # lam = G(-sz), curv = -G(sz) G(-sz)
+            special.expit(np.negative(sz, out=s), out=s)
+            return s, np.multiply(s, np.subtract(s, 1.0, out=c), out=c)
+        # log G(sz) = min(sz, 0) - log1p(exp(-|sz|)), in place
+        np.log1p(np.exp(np.negative(np.abs(sz, out=s), out=s), out=s), out=s)
+        return np.subtract(np.minimum(sz, 0.0, out=c), s, out=s)
+    special.log_ndtr(sz, out=s)
+    if not derivs:
+        return s
+    # lam in log form, stable through the deep tail; curv = -lam (sz + lam)
+    np.multiply(sz, sz, out=c)
+    c *= -0.5
+    c -= _LOG_SQRT_2PI
+    np.exp(np.subtract(c, s, out=c), out=s)
+    np.multiply(np.add(sz, s, out=c), s, out=c)
+    return s, np.negative(c, out=c)
 
 
 def grad_wrt_theta(y, theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
@@ -404,8 +404,13 @@ def grad_wrt_beta(y, theta, params: ItemParams, link: Link = Link.LOGIT) -> np.n
 
 def observed_logprobs(y_col, theta, params: ItemParams, link: Link) -> np.ndarray:
     """log f(y_i | theta_i) for one item across rows (y_col already observed)."""
+    y = np.asarray(y_col, dtype=int)
+    if params.kind is ModelKind.BINARY:  # the observed orientation alone
+        sz = params.intercepts[0] + _theta_rows(theta, params.k) @ params.loadings
+        sz *= 2 * y - 1  # -z at code 0
+        return _binary_cell(sz, link)
     logp = category_logprobs(theta, params, link)
-    return logp[np.arange(theta.shape[0]), np.asarray(y_col, dtype=int)]
+    return logp[np.arange(theta.shape[0]), y]
 
 
 def person_logliks(responses, thetas, items, link: Link) -> np.ndarray:

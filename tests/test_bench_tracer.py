@@ -95,5 +95,11 @@ def test_tracer_counts_sampled_engines_and_restores():
     assert calls["itemfit.fit_item"] == n_items * mcem.n_iters
     grad_hess = calls["itemfit.grad_hess"] - after_mcem.get("itemfit.grad_hess", 0)
     assert grad_hess == n_items * sa.n_iters
+    # marginal_k1's models.person_logliks_* metrics: SA's MH chains take one
+    # log-posterior at each iteration's chain refresh and one per MH step
+    mh_steps = calls["sampler.mh_step"] - after_mcem.get("sampler.mh_step", 0)
+    assert mh_steps == sa.n_iters * ifa.em._SWEEPS_PER_DRAW
+    logliks = calls["models.person_logliks"] - after_mcem.get("models.person_logliks", 0)
+    assert logliks == sa.n_iters + mh_steps
     # MCEM hands each M-step the per-person indicators, not copies tiled over its draws
     assert tracer.maxima["em.mstep_weight_mb"] == data.n_persons * n_items * 2 * 8 / 2**20

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_expit, log_ndtr
 
 from ifa import (
     Dataset,
@@ -19,19 +20,18 @@ from ifa import (
     category_probs,
     grad_wrt_beta,
     grad_wrt_theta,
-    irf_binary,
-    irf_gpc,
-    irf_graded,
     log_joint_likelihood,
 )
 from ifa.models import (
     MISSING,
     category_logprobs,
     observed_logprobs,
+    person_logliks,
     pointwise_score,
     soft_grad_hess,
     soft_loglik,
 )
+from ifa.cjmle import _binary_cells
 
 from conftest import MODEL_LINK_PAIRS, random_item
 
@@ -99,24 +99,24 @@ class TestBinaryIrf:
     def test_zero_predictor_is_half(self):
         for link in (Link.LOGIT, Link.PROBIT):
             item = ItemParams(ModelKind.BINARY, np.zeros(1), np.array([0.7, -0.3]))
-            assert irf_binary(np.zeros(2), item, link) == pytest.approx(0.5, abs=1e-12)
+            assert category_probs(np.zeros(2), item, link)[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_closed_form_logit_value(self):
         # G(1 + 2 * 0.5) = exp(2) / (1 + exp(2))
         item = ItemParams(ModelKind.BINARY, np.array([1.0]), np.array([2.0]))
         expect = 0.8807970779778823
-        assert irf_binary(np.array([0.5]), item, Link.LOGIT) == pytest.approx(expect, abs=1e-12)
+        assert category_probs(np.array([0.5]), item, Link.LOGIT)[0, 1] == pytest.approx(expect, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         item = ItemParams(ModelKind.BINARY, np.zeros(1), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            irf_binary(np.zeros(3), item, Link.LOGIT)
+            category_probs(np.zeros(3), item, Link.LOGIT)
 
     def test_open_interval(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             item = random_item(ModelKind.BINARY, 2, rng)
-            p = irf_binary(rng.normal(size=2), item, Link.LOGIT)
+            p = category_probs(rng.normal(size=2), item, Link.LOGIT)[0, 1]
             assert 0.0 < p < 1.0
 
 
@@ -127,11 +127,11 @@ class TestGradedIrf:
             for _ in range(50):
                 item = random_item(ModelKind.GRADED, 2, rng, categories=4)
                 theta = rng.normal(size=2)
-                total = sum(irf_graded(theta, item, t, link) for t in range(4))
+                total = sum(category_probs(theta, item, link)[0, t] for t in range(4))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_two_category_reduction_to_binary(self):
-        # P(Y=0) = G(d0 + a't) = 1 - G(-(d0 + a't)) = 1 - binary irf with
+        # P(Y=0) = G(d0 + a't) = 1 - G(-(d0 + a't)) = 1 - binary P(Y=1) with
         # flipped linear predictor, for either symmetric link
         rng = np.random.default_rng(2)
         for link in (Link.LOGIT, Link.PROBIT):
@@ -141,8 +141,8 @@ class TestGradedIrf:
                 theta = rng.normal(size=2)
                 graded = ItemParams(ModelKind.GRADED, np.array([d0]), a)
                 flipped = ItemParams(ModelKind.BINARY, np.array([-d0]), -a)
-                lhs = irf_graded(theta, graded, 0, link)
-                rhs = 1.0 - irf_binary(theta, flipped, link)
+                lhs = category_probs(theta, graded, link)[0, 0]
+                rhs = 1.0 - category_probs(theta, flipped, link)[0, 1]
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_tied_thresholds_vanish_middle_category(self):
@@ -150,14 +150,12 @@ class TestGradedIrf:
             ModelKind.GRADED, np.array([-0.4, -0.4, 0.9]), np.array([1.1])
         )
         for theta in (-1.5, 0.0, 2.0):
-            p_mid = irf_graded(np.array([theta]), item, 1, Link.LOGIT)
+            p_mid = category_probs(np.array([theta]), item, Link.LOGIT)[0, 1]
             assert abs(p_mid) < 1e-12
 
     def test_upper_tail_cells_do_not_cancel(self):
         # far above every cutpoint G(z_t) rounds to 1, yet the cells are the
         # differences of the upper tails 1 - G(z) = G(-z)
-        from scipy.special import log_expit, log_ndtr
-
         item = ItemParams(ModelKind.GRADED, np.array([-1.0, 0.0, 1.0]), np.array([1.0]))
         theta = np.array([[9.0], [20.0]])
         z = item.intercepts[None, :] + theta
@@ -190,7 +188,7 @@ class TestGpcIrf:
         for _ in range(50):
             item = random_item(ModelKind.GPC, 3, rng, categories=5)
             theta = rng.normal(size=3)
-            total = sum(irf_gpc(theta, item, t) for t in range(5))
+            total = sum(category_probs(theta, item)[0, t] for t in range(5))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_adjacent_odds_identity_exact(self):
@@ -199,7 +197,7 @@ class TestGpcIrf:
             item = random_item(ModelKind.GPC, 2, rng, categories=4)
             theta = rng.normal(size=2)
             m = float(item.loadings @ theta)
-            probs = [irf_gpc(theta, item, t) for t in range(4)]
+            probs = [category_probs(theta, item)[0, t] for t in range(4)]
             for t in range(1, 4):
                 lhs = math.log(probs[t] / probs[t - 1])
                 rhs = item.intercepts[t - 1] + m
@@ -213,8 +211,8 @@ class TestGpcIrf:
             theta = rng.normal(size=2)
             gpc = ItemParams(ModelKind.GPC, np.array([d1]), a)
             binary = ItemParams(ModelKind.BINARY, np.array([d1]), a)
-            assert irf_gpc(theta, gpc, 1) == pytest.approx(
-                irf_binary(theta, binary, Link.LOGIT), abs=1e-12
+            assert category_probs(theta, gpc)[0, 1] == pytest.approx(
+                category_probs(theta, binary, Link.LOGIT)[0, 1], abs=1e-12
             )
 
     def test_probit_rejected(self):
@@ -235,6 +233,50 @@ class TestProbitAccuracy:
         x = np.linspace(-8, 8, 4001)
         ref = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         assert np.abs(Link.PROBIT.cdf(x) - ref).max() < 1e-15
+
+
+class TestBinaryCell:
+    """The one binary-cell kernel, through each of its callers, at predictors
+    from -1000 to 1000: the code-0 cell must take the flipped predictor."""
+
+    Z = np.array([-1000.0, -40.0, -6.0, -0.3, 0.0, 0.7, 5.0, 40.0, 1000.0])
+
+    @pytest.mark.parametrize("link, log_cdf", [(Link.LOGIT, log_expit), (Link.PROBIT, log_ndtr)])
+    def test_logprobs_match_scipy_and_observed_pick(self, link, log_cdf):
+        item = ItemParams(ModelKind.BINARY, np.zeros(1), np.ones(1))
+        theta = self.Z[:, None]
+        logp = category_logprobs(theta, item, link)
+        np.testing.assert_array_max_ulp(logp[:, 0], log_cdf(-self.Z), maxulp=4)
+        np.testing.assert_array_max_ulp(logp[:, 1], log_cdf(self.Z), maxulp=4)
+        y = np.arange(self.Z.size) % 2
+        for codes in (y, 1 - y):
+            picked = logp[np.arange(self.Z.size), codes]
+            np.testing.assert_array_equal(observed_logprobs(codes, theta, item, link), picked)
+
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    def test_cjmle_cells_match_person_logliks_and_scores(self, link):
+        rng = np.random.default_rng(18)
+        n, m = 9, 5
+        items = [random_item(ModelKind.BINARY, 2, rng) for _ in range(m)]
+        a = np.array([it.loadings for it in items])
+        d = np.array([it.intercepts[0] for it in items])
+        # rows whose predictors reach about +-40 and +-1000 on every item
+        thetas = np.vstack([rng.normal(size=(5, 2)), [[40, 0], [-40, 0], [1000, 0], [-1000, 0]]])
+        responses = rng.integers(0, 2, size=(n, m))
+        responses[rng.random((n, m)) < 0.25] = MISSING
+        cells = _binary_cells(responses, a, d, link)
+        for rows in (slice(None), np.array([1, 5, 6, 8])):
+            x, resp = thetas[rows], responses[rows]
+            np.testing.assert_allclose(
+                cells(rows, x), person_logliks(resp, x, items, link), rtol=1e-12, atol=1e-12
+            )
+            score, curv = cells(rows, x, True)
+            expect = np.zeros((2,) + resp.shape)
+            for j, item in enumerate(items):
+                obs = resp[:, j] != MISSING
+                expect[:, obs, j] = pointwise_score(resp[obs, j], x[obs], item, link)
+            np.testing.assert_allclose(score, expect[0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(curv, expect[1], rtol=1e-9, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +383,7 @@ class TestGradients:
             item = random_item(ModelKind.BINARY, 2, rng)
             theta = rng.normal(size=2)
             y = int(rng.integers(0, 2))
-            p = irf_binary(theta, item, Link.LOGIT)
+            p = category_probs(theta, item, Link.LOGIT)[0, 1]
             g_theta = grad_wrt_theta(y, theta, item, Link.LOGIT)
             np.testing.assert_allclose(g_theta, (y - p) * item.loadings, atol=1e-12)
             g_beta = grad_wrt_beta(y, theta, item, Link.LOGIT)
