@@ -1,10 +1,12 @@
 """Singular-value-decomposition estimator for item factor models.
 
-Pipeline for a binary matrix: (1) SVD of the raw 0/1 matrix; (2) keep
-singular values above 1.01 * sqrt(max(N, J)) (always at least k+1) and
-reconstruct; (3) clip the reconstruction into [1e-4, 1 - 1e-4] and apply the
-inverse link; (4) column-center to read off intercepts, then a rank-k SVD of
-the centered matrix gives thetas sqrt(N) * U and loadings V * S / sqrt(N).
+Pipeline for a binary matrix: (1) singular triplets of the raw 0/1 matrix;
+(2) keep singular values above 1.01 * sqrt(max(N, J)) (always at least k+1)
+and reconstruct; (3) clip the reconstruction into [1e-4, 1 - 1e-4] and apply
+the inverse link; (4) column-center to read off intercepts, then the top k
+triplets of the centered matrix give thetas sqrt(N) * U and loadings
+V * S / sqrt(N).  Triplets come from one eigh of the smaller Gram matrix and
+one product with Y, which resolve singular values down to sqrt(eps) * s_max.
 Ordinal matrices are handled by dichotomizing at every split point,
 running the binary pipeline per split, aligning the per-split solutions to
 the first usable split, and averaging.
@@ -34,18 +36,32 @@ def singular_value_cutoff(n_persons: int, n_items: int) -> float:
     return 1.01 * np.sqrt(max(n_persons, n_items))
 
 
+def _leading_triplets(y: np.ndarray, count) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top singular triplets (s, u, v) of y from its smaller Gram matrix.
+
+    `count` maps the descending eigenvalues (squared singular values) to the
+    number of triplets; the other side is y times the eigenvector over s, 0 at s = 0.
+    """
+    tall = y.shape[0] >= y.shape[1]
+    lam, vecs = np.linalg.eigh(y.T @ y if tall else y @ y.T)
+    lam = np.maximum(lam[::-1], 0.0)
+    r = count(lam)
+    vecs = vecs[:, ::-1][:, :r]
+    s = np.sqrt(lam[:r])
+    prod = y @ vecs if tall else y.T @ vecs
+    other = np.divide(prod, s, out=np.zeros_like(prod), where=s > 0)
+    return (s, other, vecs) if tall else (s, vecs, other)
+
+
 def _denoise(y: np.ndarray, k: int) -> np.ndarray:
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
-    rank_tol = s.max(initial=0.0) * max(y.shape) * np.finfo(float).eps
-    if int(np.sum(s > rank_tol)) < k:
-        raise ValueError(
-            f"data matrix has fewer than {k} informative singular values; "
-            f"cannot extract {k} factors"
-        )
-    keep = max(int(np.sum(s > singular_value_cutoff(*y.shape))), k + 1)
-    keep = min(keep, s.size)
-    recon = (u[:, :keep] * s[:keep]) @ vt[:keep]
-    return np.clip(recon, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    def n_kept(lam):
+        if int(np.sum(lam > lam[0] * max(y.shape) * np.finfo(float).eps)) < k:
+            raise ValueError(f"data matrix has fewer than {k} informative singular values; "
+                             f"cannot extract {k} factors")
+        return max(int(np.sum(lam > singular_value_cutoff(*y.shape) ** 2)), k + 1)
+
+    s, u, v = _leading_triplets(y, n_kept)
+    return np.clip((u * s) @ v.T, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
 def decompose_probability_matrix(p_matrix, k: int, link: Link = Link.LOGIT):
@@ -59,10 +75,9 @@ def decompose_probability_matrix(p_matrix, k: int, link: Link = Link.LOGIT):
     n = p.shape[0]
     m = link.inverse(p)
     intercepts = m.mean(axis=0)
-    centered = m - intercepts[None, :]
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    thetas = np.sqrt(n) * u[:, :k]
-    loadings = vt[:k].T * (s[:k] / np.sqrt(n))[None, :]
+    s, u, v = _leading_triplets(m - intercepts[None, :], lambda lam: k)
+    thetas = np.sqrt(n) * u
+    loadings = v * (s / np.sqrt(n))[None, :]
     flip = loadings.sum(axis=0) < 0
     loadings[:, flip] *= -1.0
     thetas[:, flip] *= -1.0
@@ -70,15 +85,11 @@ def decompose_probability_matrix(p_matrix, k: int, link: Link = Link.LOGIT):
 
 
 def _filled_binary(binary: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Missing cells take the item's observed mean (complete case no-op)."""
+    """Missing cells take the item's observed mean (Dataset ensures one)."""
     out = binary.astype(float)
     if observed.all():
         return out
-    col_mean = np.where(
-        observed.sum(axis=0) > 0,
-        np.sum(np.where(observed, out, 0.0), axis=0) / np.maximum(observed.sum(axis=0), 1),
-        0.5,
-    )
+    col_mean = np.sum(np.where(observed, out, 0.0), axis=0) / observed.sum(axis=0)
     return np.where(observed, out, col_mean[None, :])
 
 
@@ -140,8 +151,7 @@ def fit_svd_ordinal(data: Dataset, k: int, link: Link = Link.LOGIT) -> SpectralF
         raise ValueError("no usable split: every dichotomization is constant")
     first = per_split[0]
     if len(per_split) == 1:
-        s, thetas, loadings, intercepts, p_hat = first
-        return SpectralFit(thetas, loadings, intercepts, p_hat, splits_used=used)
+        return SpectralFit(*first[1:], splits_used=used)
     thetas = np.mean([t for _, t, _, _, _ in per_split], axis=0)
     loadings = np.zeros_like(first[2])
     counts = np.zeros(data.n_items)

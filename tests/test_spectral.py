@@ -16,6 +16,8 @@ from ifa.simulate import SimSpec, simulate
 from ifa.spectral import (
     SpectralFit,
     _binary_pipeline,
+    _denoise,
+    _leading_triplets,
     decompose_probability_matrix,
     fit_svd_binary,
     fit_svd_ordinal,
@@ -40,6 +42,48 @@ class TestCutoff:
         assert singular_value_cutoff(2000, 100) == pytest.approx(1.01 * np.sqrt(2000))
         assert singular_value_cutoff(100, 2000) == pytest.approx(1.01 * np.sqrt(2000))
         assert singular_value_cutoff(50, 50) == pytest.approx(1.01 * np.sqrt(50))
+
+
+def rank_r(n, j, r, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, r)) @ rng.normal(size=(r, j))
+
+
+class TestLeadingTriplets:
+    """The Gram-matrix triplets against LAPACK's full SVD."""
+
+    @pytest.mark.parametrize(
+        "y, k",
+        [
+            (np.random.default_rng(10).normal(size=(300, 40)), 5),  # tall
+            (np.random.default_rng(11).normal(size=(40, 300)), 5),  # wide
+            (rank_r(120, 30, 4, seed=12), 4),  # exactly rank 4, tall
+            (rank_r(30, 120, 4, seed=13), 4),  # exactly rank 4, wide
+        ],
+    )
+    def test_matches_svd(self, y, k):
+        s, u, v = _leading_triplets(y, lambda lam: k)
+        u_ref, s_ref, vt_ref = np.linalg.svd(y, full_matrices=False)
+        np.testing.assert_allclose(s, s_ref[:k], rtol=1e-10)
+        for got, ref in ((u, u_ref[:, :k]), (v, vt_ref[:k].T)):
+            np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-10)
+        np.testing.assert_allclose((u * s) @ v.T, (u_ref[:, :k] * s_ref[:k]) @ vt_ref[:k],
+                                   rtol=0, atol=1e-10 * s_ref[0])
+
+    @pytest.mark.parametrize("y", [np.zeros((20, 6)), rank_r(120, 30, 4, seed=12)])
+    def test_triplets_beyond_the_rank(self, y):
+        # round-off leaves Gram eigenvalues at or below 0 past the rank
+        s, u, v = _leading_triplets(y, lambda lam: lam.size)
+        assert np.all(s[np.linalg.matrix_rank(y):] < 1e-5 * max(s[0], 1.0))
+        assert all(np.all(np.isfinite(a)) for a in (s, u, v))
+        np.testing.assert_allclose(u[:, s == 0], 0.0)
+
+    @pytest.mark.parametrize("shape", [(50, 12), (12, 50)])
+    def test_rank_error_in_both_orientations(self, shape):
+        y = rank_r(*shape, 2, seed=14)
+        assert _denoise(y, 2).shape == shape
+        with pytest.raises(ValueError, match="fewer than 3 informative"):
+            _denoise(y, 3)
 
 
 class TestDecomposition:
@@ -73,6 +117,7 @@ class TestBinaryFit:
     def test_all_ones_is_degenerate_rank_one(self):
         data = Dataset(np.ones((60, 10), dtype=int), np.full(10, 2))
         fit = fit_svd_binary(data, 1)
+        assert np.all(np.isfinite(fit.thetas))
         assert np.max(np.abs(fit.loadings)) < 1e-10
         np.testing.assert_allclose(
             fit.intercepts, float(logit(1.0 - PROB_EPS)), atol=1e-10
@@ -100,6 +145,15 @@ class TestBinaryFit:
         fit = fit_svd_binary(data, 2)
         assert np.all(fit.loadings.sum(axis=0) >= 0)
         assert np.all(fit.p_hat >= PROB_EPS) and np.all(fit.p_hat <= 1 - PROB_EPS)
+
+    def test_wide_panel(self):
+        data, _, _ = simulate(SimSpec(n_persons=40, n_items=120, k=2, seed=15))
+        fit = fit_svd_binary(data, 2)
+        assert fit.thetas.shape == (40, 2) and fit.loadings.shape == (120, 2)
+        for arr in (fit.thetas, fit.loadings, fit.intercepts, fit.p_hat):
+            assert np.all(np.isfinite(arr))
+        second = fit.thetas.T @ fit.thetas / 40
+        np.testing.assert_allclose(np.diag(second), 1.0, atol=1e-10)
 
     def test_missing_cells_supported(self):
         data, _, _ = simulate(
