@@ -338,7 +338,8 @@ def fit_em_quadrature(
 
 
 class _ChainPool:
-    """Warm person-factor chains driven by the Gibbs or MH engine."""
+    """Warm person-factor chains driven by one Gibbs or MH engine, built at
+    the first refresh and refreshed in place after it."""
 
     def __init__(self, data, k: int, link: Link, model: ModelKind, seed: int):
         self.data = data
@@ -347,14 +348,17 @@ class _ChainPool:
         self.use_gibbs = link is Link.PROBIT and model is not ModelKind.GPC
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.thetas = np.zeros((data.n_persons, k))
-        self.mh_scale = None
+        self.engine = None
 
     def refresh(self, items, corr):
         config = FactorConfig(self.k, corr)
-        if self.use_gibbs:
+        if self.engine is not None:
+            self.engine.refresh(items, config)
+        elif self.use_gibbs:
             self.engine = GibbsEngine(self.data, items, config)
         else:
-            self.engine = MhEngine(self.data, items, config, self.link, scale=self.mh_scale)
+            self.engine = MhEngine(self.data, items, config, self.link)
+        if not self.use_gibbs:
             self.logpost = self.engine.logpost(self.thetas)
 
     def sweep(self, adapt: bool):
@@ -364,7 +368,6 @@ class _ChainPool:
             self.thetas, self.logpost = self.engine.step(
                 self.thetas, self.logpost, self.rng, adapt=adapt
             )
-            self.mh_scale = self.engine.scale
         return self.thetas
 
     def draw(self, n_draws: int, thin: int, adapt: bool) -> np.ndarray:

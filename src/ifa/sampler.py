@@ -3,15 +3,15 @@
 Two kernels, each run for every person at once: GibbsEngine, a blocked
 Gibbs sweep for probit models (truncated-normal data augmentation, then an
 exact K-variate normal draw with precision corr^{-1} + A'A over each
-person's observed items), and MhEngine, an adaptive random-walk Metropolis
-step for logit models.  Every person is one chain, and all chains draw from
-the one generator passed in.  The engines back the Monte Carlo, stochastic
-EM and stochastic-approximation marginal estimators.
+person's observed items, from that person's own Cholesky factor), and
+MhEngine, an adaptive random-walk Metropolis step for logit models.  Every
+person is one chain, all chains draw from the one generator passed in, and
+a fit refreshes one engine in place every iteration.  The engines back the
+Monte Carlo, stochastic EM and stochastic-approximation marginal estimators.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
 from .models import Dataset, FactorConfig, ItemParams, Link, ModelKind, person_logliks
@@ -89,50 +89,47 @@ def truncated_normal_interval(mean, lower, upper, rng):
     return mean + z
 
 
-def _latent_bounds(params: ItemParams, y):
-    """Per-response truncation interval for the centered probit latent."""
-    y = np.asarray(y, dtype=int)
+def _latent_table(params: ItemParams, width: int) -> np.ndarray:
+    """(lower, upper) bounds of the centered probit latent, by response code."""
+    table = np.array([[-np.inf] * width, [np.inf] * width])
     if params.kind is ModelKind.BINARY:
-        # latent y* = d + a'theta + eps, y = 1 iff y* >= 0
-        lower = np.where(y == 1, 0.0, -np.inf)
-        upper = np.where(y == 1, np.inf, 0.0)
-        return lower, upper
-    if params.kind is ModelKind.GRADED:
+        table[0, 1] = table[1, 0] = 0.0  # latent y* = d + a'theta + eps, y = 1 iff y* >= 0
+    elif params.kind is ModelKind.GRADED:
         # latent v = a'theta + eps; category t iff -d_t <= v < -d_{t-1}
         thr = params.intercepts
-        lo_map = np.concatenate([-thr, [-np.inf]])
-        hi_map = np.concatenate([[np.inf], -thr])
-        return lo_map[y], hi_map[y]
-    raise ValueError("probit Gibbs supports binary and graded items only")
+        table[0, : thr.size] = table[1, 1 : thr.size + 1] = -thr
+    else:
+        raise ValueError("probit Gibbs supports binary and graded items only")
+    return table
 
 
 class GibbsEngine:
-    """Vectorized probit Gibbs sweeps over every person at once."""
+    """Vectorized probit Gibbs sweeps over every person at once.
+
+    `refresh` takes new items and correlation in place.  Each person's
+    precision is one row of the (N, J) observed mask times the (J, K^2)
+    loading outer products plus corr^{-1}, kept as the inverse L^{-1} of its
+    Cholesky factor, so theta = L^{-T} (L^{-1} r + z) for any missing cells.
+    """
 
     def __init__(self, data: Dataset, items, factor_config: FactorConfig):
         self.data = data
-        self.k = factor_config.k
+        self.obs = data.observed_mask
+        self.codes = np.where(self.obs, data.responses, 0)
+        self.refresh(items, factor_config)
+
+    def refresh(self, items, factor_config: FactorConfig):
+        k = self.k = factor_config.k
         self.loadings = np.vstack([it.loadings for it in items])
         self.offsets = np.array(
             [it.intercepts[0] if it.kind is ModelKind.BINARY else 0.0 for it in items]
         )
-        n, j = data.responses.shape
-        self.lower = np.full((n, j), -np.inf)
-        self.upper = np.full((n, j), np.inf)
-        self.obs = data.observed_mask
-        for col, params in enumerate(items):
-            y = data.responses[:, col]
-            mask = self.obs[:, col]
-            lo, hi = _latent_bounds(params, np.where(mask, y, 0))
-            self.lower[mask, col] = lo[mask]
-            self.upper[mask, col] = hi[mask]
-        prior_prec = np.linalg.inv(factor_config.correlation)
-        # one Cholesky per missing-data pattern; complete data gives one
-        patterns, self.pattern_of = np.unique(self.obs, axis=0, return_inverse=True)
-        self.pattern_chols = []
-        for pat in patterns:
-            a = self.loadings[pat]
-            self.pattern_chols.append(np.linalg.cholesky(prior_prec + a.T @ a))
+        width = max(it.n_categories for it in items)
+        table = np.stack([_latent_table(it, width) for it in items], axis=1)
+        self.lower, self.upper = table[:, np.arange(len(items)), self.codes]
+        outer = np.einsum("jk,jl->jkl", self.loadings, self.loadings).reshape(-1, k * k)
+        prec = np.linalg.inv(factor_config.correlation) + (self.obs @ outer).reshape(-1, k, k)
+        self.chol_inv = np.linalg.inv(np.linalg.cholesky(prec))
 
     def sweep(self, thetas, rng):
         n = thetas.shape[0]
@@ -145,16 +142,9 @@ class GibbsEngine:
             mean = proj[mask, col] + self.offsets[col]
             draw = truncated_normal_interval(mean, self.lower[mask, col], self.upper[mask, col], rng)
             resid[mask, col] = draw - self.offsets[col]
-        rhs = resid @ self.loadings
-        z = rng.standard_normal((n, self.k))
-        out = np.empty_like(thetas)
-        for g, chol in enumerate(self.pattern_chols):
-            sel = self.pattern_of == g
-            if not sel.any():
-                continue
-            mean = sla.cho_solve((chol, True), rhs[sel].T).T
-            out[sel] = mean + sla.solve_triangular(chol.T, z[sel].T, lower=False).T
-        return out
+        white = np.einsum("nkl,nl->nk", self.chol_inv, resid @ self.loadings)
+        white += rng.standard_normal((n, self.k))
+        return np.einsum("nlk,nl->nk", self.chol_inv, white)
 
 
 class MhEngine:
@@ -162,14 +152,18 @@ class MhEngine:
 
     def __init__(self, data: Dataset, items, factor_config: FactorConfig, link: Link, scale=None):
         self.data = data
-        self.items = items
         self.link = link
         self.k = factor_config.k
-        self.prior_prec = np.linalg.inv(factor_config.correlation)
         self.scale = 2.4 / np.sqrt(self.k) if scale is None else float(scale)
         self.target_rate = 0.234
         self.steps_adapted = 0
         self.last_rate = np.nan
+        self.refresh(items, factor_config)
+
+    def refresh(self, items, factor_config: FactorConfig):
+        """New items and correlation; the step size and its adaptation go on."""
+        self.items = items
+        self.prior_prec = np.linalg.inv(factor_config.correlation)
 
     def logpost(self, thetas):
         quad = np.einsum("nk,kl,nl->n", thetas, self.prior_prec, thetas)

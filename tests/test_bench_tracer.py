@@ -2,8 +2,9 @@
 
 `bench/tracer.py` wraps module attributes of `ifa` by name, so renaming or
 removing one of them makes `bench/run.py --trace 1` fail with an
-AttributeError.  These tests install the tracer around tiny CJMLE, MCEM and
-SA fits and check its counts and that uninstalling restores every attribute.
+AttributeError.  These tests install the tracer around tiny CJMLE, MCEM, SA
+and probit StEM fits and check its counts and that uninstalling restores
+every attribute.
 """
 from __future__ import annotations
 
@@ -103,3 +104,24 @@ def test_tracer_counts_sampled_engines_and_restores():
     assert logliks == sa.n_iters + mh_steps
     # MCEM hands each M-step the per-person indicators, not copies tiled over its draws
     assert tracer.maxima["em.mstep_weight_mb"] == data.n_persons * n_items * 2 * 8 / 2**20
+
+
+def test_tracer_counts_gibbs_sweeps_and_restores():
+    # ordinal_k3's sampler.gibbs_sweeps and sampler.person_updates: one fit
+    # keeps one Gibbs engine, and every sweep of it is counted
+    tr = load_tracer()
+    data, _, _ = simulate(SimSpec(90, 6, k=1, link="probit", missing_rate=0.1, seed=7))
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        stem = ifa.em.fit_stem(data, 1, ifa.em.StemConfig(total_iters=4, burn_in=1, seed=2),
+                               link="probit")
+    finally:
+        tracer.uninstall()
+    assert_restored(before)
+    calls = tracer.calls()
+    sweeps = stem.n_iters * ifa.em._SWEEPS_PER_DRAW
+    assert calls["sampler.gibbs_sweep"] == sweeps
+    assert tracer.counts["sampler.person_updates"] == sweeps * data.n_persons
+    assert calls["sampler.mh_step"] == 0

@@ -478,3 +478,29 @@ class TestEngineContracts:
         data, _, _ = simulate(SimSpec(n_persons=50, n_items=8, k=1, seed=22))
         with pytest.raises(ValueError, match="fit_stem or fit_sa"):
             fit_em_quadrature(data, 4)
+
+
+class TestChainPool:
+    """One sampler engine per fit, refreshed in place every iteration."""
+
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT], ids=["gibbs", "mh"])
+    def test_one_engine_across_refreshes(self, link):
+        data, _, _ = simulate(SimSpec(n_persons=60, n_items=4, k=1, missing_rate=0.2, seed=23))
+        items = default_items(data, 1, ModelKind.BINARY, link)
+        pool = ifa.em._ChainPool(data, 1, link, ModelKind.BINARY, seed=3)
+        pool.refresh(items, np.eye(1))
+        engine = pool.engine
+        for _ in range(3):
+            pool.draw(1, ifa.em._SWEEPS_PER_DRAW, adapt=True)
+            pool.refresh(items, np.eye(1))
+            assert pool.engine is engine
+
+    def test_mh_adaptation_counts_across_iterations(self):
+        # the Robbins-Monro gain 1 / (10 + s)^0.6 decays over the whole fit
+        data, _, _ = simulate(SimSpec(n_persons=60, n_items=4, k=1, seed=24))
+        items = default_items(data, 1, ModelKind.BINARY, Link.LOGIT)
+        pool = ifa.em._ChainPool(data, 1, Link.LOGIT, ModelKind.BINARY, seed=4)
+        for t in range(1, 4):
+            pool.refresh(items, np.eye(1))
+            pool.draw(1, ifa.em._SWEEPS_PER_DRAW, adapt=True)
+            assert pool.engine.steps_adapted == t * ifa.em._SWEEPS_PER_DRAW

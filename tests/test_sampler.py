@@ -111,38 +111,46 @@ class TestGibbsSweep:
         np.testing.assert_allclose(np.cov(draws.T), corr, atol=0.05)
 
     def test_theta_conditional_is_exact(self, monkeypatch):
-        # fixed latents: the theta draw must match its closed-form normal law.
-        # The tolerances are 3 SE whatever the size; 1e5 rows give 1e5
-        # independent draws from one sweep
+        # fixed latents: the theta draw must match its closed-form normal law,
+        # on a complete panel and on one where half the rows miss item 2, so
+        # two precisions are in play.  The tolerances are 3 SE of each group
+        # whatever its size; 1e5 rows give 1e5 independent draws from one sweep
         corr = np.array([[1.0, 0.3], [0.3, 1.0]])
         items = [
             ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([1.0, 0.4])),
             ItemParams(ModelKind.BINARY, np.array([-0.1]), np.array([0.6, 0.9])),
         ]
-        latents = np.array([0.8, -0.3])
-        n = 10**5
-        data = Dataset(np.tile([1, 0], (n, 1)), np.full(2, 2))
-        engine = GibbsEngine(data, items, FactorConfig(2, corr))
-        fixed = iter(latents)  # the sweep draws the latents column by column
-        monkeypatch.setattr(
-            sampler,
-            "truncated_normal_interval",
-            lambda mean, lower, upper, rng: np.full(mean.shape, next(fixed)),
-        )
-        draws = engine.sweep(np.zeros((n, 2)), np.random.default_rng(11))
-        assert next(fixed, None) is None
         a = np.array([[1.0, 0.4], [0.6, 0.9]])
+        latents = np.array([0.8, -0.3])
         resid = latents - np.array([0.2, -0.1])
-        prec = np.linalg.inv(corr) + a.T @ a
-        cov = np.linalg.inv(prec)
-        mean = cov @ (a.T @ resid)
-        mean_se = np.sqrt(np.diag(cov) / n)
-        np.testing.assert_array_less(np.abs(draws.mean(axis=0) - mean), 3 * mean_se)
-        cov_hat = np.cov(draws.T)
-        cov_se = np.sqrt(
-            (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n
-        )
-        np.testing.assert_array_less(np.abs(cov_hat - cov), 3 * cov_se)
+        n = 10**5
+        for n_missing in (0, n // 2):
+            responses = np.tile([1, 0], (n, 1))
+            responses[n - n_missing :, 1] = MISSING
+            engine = GibbsEngine(Dataset(responses, np.full(2, 2)), items, FactorConfig(2, corr))
+            fixed = iter(latents)  # the sweep draws the latents column by column
+            monkeypatch.setattr(
+                sampler,
+                "truncated_normal_interval",
+                lambda mean, lower, upper, rng: np.full(mean.shape, next(fixed)),
+            )
+            draws = engine.sweep(np.zeros((n, 2)), np.random.default_rng(11))
+            assert next(fixed, None) is None
+            for rows, n_obs in ((slice(0, n - n_missing), 2), (slice(n - n_missing, n), 1)):
+                group = draws[rows]
+                if group.size == 0:
+                    continue
+                prec = np.linalg.inv(corr) + a[:n_obs].T @ a[:n_obs]
+                cov = np.linalg.inv(prec)
+                mean = cov @ (a[:n_obs].T @ resid[:n_obs])
+                size = group.shape[0]
+                mean_se = np.sqrt(np.diag(cov) / size)
+                np.testing.assert_array_less(np.abs(group.mean(axis=0) - mean), 3 * mean_se)
+                cov_hat = np.cov(group.T)
+                cov_se = np.sqrt(
+                    (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / size
+                )
+                np.testing.assert_array_less(np.abs(cov_hat - cov), 3 * cov_se)
 
     def test_binary_latent_sign_consistency(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -339,3 +347,58 @@ class TestEngines:
                 thetas, logpost = engine.step(thetas, logpost, rng)
             outs.append(thetas)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+class TestRefresh:
+    """An engine refreshed in place behaves as one built with the new inputs."""
+
+    @staticmethod
+    def panel():
+        rng = np.random.default_rng(21)
+        responses = rng.integers(0, 3, size=(300, 4))
+        responses[:, :2] = np.minimum(responses[:, :2], 1)
+        responses[:, 1:][rng.random((300, 3)) < 0.3] = MISSING
+        data = Dataset(responses, np.array([2, 2, 3, 3]))
+
+        def items(shift):
+            binary = [
+                ItemParams(ModelKind.BINARY, np.array([0.1 + shift]), np.array([0.9, 0.2 - shift]))
+                for _ in range(2)
+            ]
+            graded = [
+                ItemParams(ModelKind.GRADED, np.array([-0.4, 0.5 + shift]), np.array([shift, 1.1]))
+                for _ in range(2)
+            ]
+            return binary + graded
+
+        return data, items(0.0), items(0.3)
+
+    def test_gibbs_refresh_equals_rebuild(self):
+        data, items0, items1 = self.panel()
+        cfg1 = FactorConfig(2, np.array([[1.0, 0.4], [0.4, 1.0]]))
+        refreshed = GibbsEngine(data, items0, FactorConfig(2))
+        refreshed.refresh(items1, cfg1)
+        rebuilt = GibbsEngine(data, items1, cfg1)
+        outs = []
+        for engine in (refreshed, rebuilt):
+            rng = np.random.default_rng(22)
+            thetas = np.zeros((300, 2))
+            for _ in range(5):
+                thetas = engine.sweep(thetas, rng)
+            outs.append(thetas)
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_mh_refresh_equals_rebuild(self):
+        data, items0, items1 = self.panel()
+        cfg1 = FactorConfig(2, np.array([[1.0, -0.2], [-0.2, 1.0]]))
+        refreshed = MhEngine(data, items0, FactorConfig(2), Link.LOGIT)
+        refreshed.refresh(items1, cfg1)
+        rebuilt = MhEngine(data, items1, cfg1, Link.LOGIT)
+        thetas = np.random.default_rng(23).normal(size=(300, 2))
+        np.testing.assert_array_equal(refreshed.logpost(thetas), rebuilt.logpost(thetas))
+        outs = []
+        for engine in (refreshed, rebuilt):
+            rng = np.random.default_rng(24)
+            outs.append(engine.step(thetas, engine.logpost(thetas), rng))
+        for got, want in zip(*outs):
+            np.testing.assert_array_equal(got, want)
