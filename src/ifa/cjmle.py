@@ -25,11 +25,12 @@ from .models import (
     ModelKind,
     _binary_cell,
     _default_model,
+    _panel_cells,
+    _predictors,
     as_link,
     loadings_matrix,
     log_joint_likelihood,
     person_logliks,
-    pointwise_score,
     response_matrix,
 )
 from .start import spectral_start
@@ -101,17 +102,13 @@ def _binary_cells(responses, design, offset, link: Link):
 
 
 def _person_cells(responses, items, link: Link):
-    """The same callback for person rows of any item kind, item by item."""
+    """The same callback for person rows of any item kind: the values from
+    person_logliks, the derivatives from one panel-kernel call."""
 
     def cells(rows, x, derivs=False):
         if not derivs:
             return person_logliks(responses[rows], x, items, link)
-        s, c = np.zeros((2, len(x), len(items)))
-        for j, item in enumerate(items):
-            y = responses[rows, j]
-            if (mask := y != MISSING).any():
-                s[mask, j], c[mask, j] = pointwise_score(y[mask], x[mask], item, link)
-        return s, c
+        return _panel_cells(_predictors(x, items), responses[rows], items, link, True)
 
     return cells
 

@@ -530,7 +530,6 @@ class SaConfig:
     warmup: int = 50
     # callable t -> gamma_t in [0, 1] (1-based t); None = plateau of 1 then 1/(t - warmup)
     gain_schedule: Callable[[int], float] | None = None
-    use_hessian: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -550,17 +549,6 @@ class SaConfig:
         return gain
 
 
-def _precondition(gamma_block, grad, use_hessian: bool):
-    """Solve the preconditioned direction; fall back to the plain gradient."""
-    if not use_hessian:
-        return grad, False
-    try:
-        chol = np.linalg.cholesky(gamma_block)
-        return sla.cho_solve((chol, True), grad), False
-    except np.linalg.LinAlgError:
-        return grad, True
-
-
 def fit_sa_mcmc(
     data: Dataset,
     k: int,
@@ -571,9 +559,8 @@ def fit_sa_mcmc(
     link: Link = Link.LOGIT,
 ) -> MarginalFit:
     """Stochastic approximation (MH-RM): Robbins-Monro steps along stochastic
-    gradients of the marginal log-likelihood (Fisher identity), optionally
-    preconditioned by a Robbins-Monro estimate of the items' complete-data
-    information.
+    gradients of the marginal log-likelihood (Fisher identity), preconditioned
+    by a Robbins-Monro estimate of the items' complete-data information.
 
     For theta ~ N(0, Sigma) the complete-data information is
     (N/2)(Sigma^-1 kron Sigma^-1), and Fisher scoring with it steps Sigma by
@@ -583,10 +570,9 @@ def fit_sa_mcmc(
 
     info["psi_trail"] holds the start and every iterate: each item's internal
     parameters, then the correlation's strict lower triangle in pack_params
-    order.  info["h_trail"] holds each step in that layout: the item
-    gradients, then the lower triangle of M/N - Sigma.  info["fallback_iters"]
-    lists the iterations where an item's information estimate was not
-    positive definite and the plain gradient was used.
+    order.  info["fallback_iters"] lists the iterations where an item's
+    information estimate was not positive definite and the plain gradient
+    was used.
     """
     config = sa_config or SaConfig()
     link, q, items, chains, weights = _sampled_start(data, k, model, link, q, config.seed)
@@ -597,29 +583,25 @@ def fit_sa_mcmc(
     gammas = [np.zeros((x.size, x.size)) for x in x_items]
     trajectory = []
     psi_trail = [np.concatenate(x_items + [corr[lower]])]
-    h_trail = []
-    fallback_iters = []
+    fallbacks = set()
     for t in range(1, config.total_iters + 1):
         gamma_t = config.gamma(t)
         chains.refresh(items, corr)
         design = chains.draw(1, _SWEEPS_PER_DRAW, adapt=t <= config.warmup)
-        h_parts = []
-        fell_back = False
         new_x = []
         for j, item in enumerate(items):
             g, hess = internal_grad_hess(item, design, weights[j], link, masks[j])
             gammas[j] = gammas[j] + gamma_t * (-hess - gammas[j])
-            direction, fb = _precondition(gammas[j], g, config.use_hessian)
-            fell_back = fell_back or fb
-            h_parts.append(g)
+            try:  # the preconditioned direction, else the plain gradient
+                direction = sla.cho_solve((np.linalg.cholesky(gammas[j]), True), g)
+            except np.linalg.LinAlgError:
+                direction = g
+                fallbacks.add(t)
             new_x.append(x_items[j] + gamma_t * direction)
         h_corr = design.T @ design / data.n_persons - corr
         corr, _ = _rescale_correlation(corr + gamma_t * h_corr, items, compensate=False)
         x_items = new_x
         items = [from_internal(x, it, m) for x, it, m in zip(x_items, items, masks)]
-        if fell_back:
-            fallback_iters.append(t)
-        h_trail.append(np.concatenate(h_parts + [h_corr[lower]]))
         psi_trail.append(np.concatenate(x_items + [corr[lower]]))
         trajectory.append(pack_params(items, corr))
     return MarginalFit(
@@ -629,9 +611,5 @@ def fit_sa_mcmc(
         marginal_loglik=None,
         converged=True,
         n_iters=config.total_iters,
-        info={
-            "psi_trail": np.asarray(psi_trail),
-            "h_trail": np.asarray(h_trail),
-            "fallback_iters": fallback_iters,
-        },
+        info={"psi_trail": np.asarray(psi_trail), "fallback_iters": sorted(fallbacks)},
     )

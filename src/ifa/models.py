@@ -12,18 +12,19 @@ G is the logistic or standard-normal CDF.  Probability and derivative
 computations are vectorized over rows of latent-trait values; the scalar
 grad_* functions are thin wrappers used mostly in tests.
 
-A binary cell is one kernel, _binary_cell: log G at the signed predictor
-(z at code 1, -z at code 0) and its first two derivatives there.  The
-binary log-probabilities, the per-person log-likelihoods, the derivative
-core and the CJMLE binary blocks all call it.
+Observed cells come from one panel kernel, _panel_cells: each cell's
+log f(y | theta), or its score and curvature, from the (n, J) predictors
+z = Theta A' plus the binary intercepts (_predictors, one GEMM).  A binary
+cell is _binary_cell at the signed predictor (-z at code 0), a graded cell
+_graded_probs over its two cutpoints, a gpc cell its normalized logits.
+The likelihoods, the MH log-posterior and the CJMLE person rows call it.
 
-All derivatives come from one core, _predictor_derivs: the first and second
-derivatives of log f(t | theta) in the predictor m = a'theta at every row
-and category.  pointwise_score picks the observed category's entry (the
-CJMLE person block); soft_grad_hess weights them into the loading block and,
-since a binary intercept shifts m just as a'theta does, into the binary
-intercept block.  Only the gpc steps and graded thresholds have blocks of
-their own.
+The derivatives at every category come from one core, _predictor_derivs:
+the first and second derivatives of log f(t | theta) in the predictor
+m = a'theta at every row and category.  soft_grad_hess weights them into
+the loading block and, since a binary intercept shifts m just as a'theta
+does, into the binary intercept block.  Only the gpc steps and graded
+thresholds have blocks of their own.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ class Link(enum.Enum):
         if self is Link.LOGIT:
             p = special.expit(x)
             return p * special.expit(-x) * (1.0 - 2.0 * p)
-        return -x * np.exp(-0.5 * x * x) / _SQRT_2PI
+        return -np.clip(x, -1e300, 1e300) * np.exp(-0.5 * x * x) / _SQRT_2PI  # 0 at +-inf
 
     def inverse(self, p):
         p = np.asarray(p, dtype=float)
@@ -245,12 +246,13 @@ def _check_gpc_link(params: ItemParams, link: Link):
         raise ValueError("generalized partial credit items support the logit link only")
 
 
-def _gpc_logits(theta, params: ItemParams) -> np.ndarray:
-    """Category logits t*m + cumsum steps, shape (n, n_cat)."""
-    m = theta @ params.loadings
-    steps = np.concatenate([[0.0], np.cumsum(params.intercepts)])
-    tgrid = np.arange(params.n_categories, dtype=float)
-    return m[:, None] * tgrid[None, :] + steps[None, :]
+def _gpc_logits(z, items) -> np.ndarray:
+    """Category-major gpc logits t z + sum_{v<=t} d_v at (n, J) predictors z:
+    (W, n, J) for the widest item's W categories, -inf past each item's top."""
+    steps = np.full((len(items), max(it.n_categories for it in items)), -np.inf)
+    for j, it in enumerate(items):
+        steps[j, : it.n_categories] = np.cumsum(np.append(0.0, it.intercepts))
+    return np.arange(steps.shape[1], dtype=float)[:, None, None] * z + steps.T[:, None, :]
 
 
 def category_probs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
@@ -261,33 +263,32 @@ def category_probs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.nda
         p1 = link.cdf(params.intercepts[0] + theta @ params.loadings)
         return np.column_stack([1.0 - p1, p1])
     if params.kind is ModelKind.GRADED:
-        z = params.intercepts[None, :] + (theta @ params.loadings)[:, None]
-        return _graded_cells(z, link)
-    logits = _gpc_logits(theta, params)
+        return _graded_probs((_cutpoints([params]).T + theta @ params.loadings).T, link)
+    logits = _gpc_logits((theta @ params.loadings)[:, None], [params])[:, :, 0].T
     logits = logits - logits.max(axis=1, keepdims=True)  # overflow guard
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _graded_cells(z, link: Link) -> np.ndarray:
-    """Graded category probabilities from the cutpoint predictors z (n, T).
+def _cutpoints(items) -> np.ndarray:
+    """(J, W + 1) graded cutpoints -inf, d_0, ..., +inf, padded with +inf to
+    the widest item's W categories: category t lies between columns t, t + 1."""
+    table = np.full((len(items), max(it.n_categories for it in items) + 1), np.inf)
+    table[:, 0] = -np.inf
+    for j, it in enumerate(items):
+        table[j, 1 : it.n_categories] = it.intercepts
+    return table
 
-    Each cell is a difference of the two tails on the side of its lower
-    cutpoint: G(z_t) - G(z_{t-1}) below 0 and (1 - G(z_{t-1})) - (1 - G(z_t))
-    above, so far upper-tail cells do not cancel to 0.  The link cdf is
-    evaluated once per cutpoint, at -|z|, and both tails derive from it.
-    """
-    n = z.shape[0]
-    small = link.cdf(-np.abs(z))
-    upper = z >= 0
-    below = np.where(upper, 1.0 - small, small)
-    above = np.where(upper, small, 1.0 - small)
-    below = np.column_stack([np.zeros(n), below, np.ones(n)])
-    above = np.column_stack([np.ones(n), above, np.zeros(n)])
-    lower_cut_upper = np.column_stack([np.zeros(n, dtype=bool), upper])
-    return np.where(
-        lower_cut_upper, above[:, :-1] - above[:, 1:], below[:, 1:] - below[:, :-1]
-    )
+
+def _graded_probs(cuts, link: Link) -> np.ndarray:
+    """Probabilities of the cells between consecutive cutpoint predictors
+    along the last axis of cuts, each a difference of the two tails on the
+    side of its lower cutpoint, so far upper-tail cells do not cancel to 0.
+    G is evaluated once per cutpoint, at -|z|.  Callers lay the cutpoint axis
+    out slowest (a transposed view), so each category's cells are contiguous."""
+    tail = link.cdf(-np.abs(cuts))
+    lo, hi = tail[..., :-1], tail[..., 1:]
+    return np.where(cuts[..., :-1] >= 0, lo - hi, np.where(cuts[..., 1:] >= 0, 1.0 - hi, hi) - lo)
 
 
 def category_logprobs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
@@ -299,25 +300,12 @@ def category_logprobs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.
         m = params.intercepts[0] + theta @ params.loadings
         return _binary_cell(m[:, None] * _BINARY_SIGNS, link)
     if params.kind is ModelKind.GPC:
-        logits = _gpc_logits(theta, params)
+        logits = _gpc_logits((theta @ params.loadings)[:, None], [params])[:, :, 0].T
         return logits - special.logsumexp(logits, axis=1, keepdims=True)
     p = category_probs(theta, params, link)
     out = np.log(np.clip(p, _CLIP_LO, _CLIP_HI))
     out[p == 0.0] = -np.inf
     return out
-
-
-def pointwise_score(y, theta, params: ItemParams, link: Link):
-    """Score and curvature of log f(y | theta) w.r.t. the linear predictor
-    m = a'theta, one value per row.  Returns (score, curvature)."""
-    _check_gpc_link(params, link)
-    theta = _theta_rows(theta, params.k)
-    rows = np.arange(theta.shape[0])
-    y = np.asarray(y, dtype=int)
-    live = np.zeros((params.n_categories, rows.size), dtype=bool)
-    live[y, rows] = True
-    score, curv, _ = _predictor_derivs(theta, params, link, live)
-    return score[y, rows], np.broadcast_to(curv, score.shape)[y, rows]
 
 
 def _predictor_derivs(theta, params: ItemParams, link: Link, weights):
@@ -348,12 +336,11 @@ def _predictor_derivs(theta, params: ItemParams, link: Link, weights):
         var_t = p @ (tgrid**2) - mean_t**2
         return tgrid[:, None] - mean_t, -var_t[None, :], p
     # graded: f_t = G(z_t) - G(z_{t-1}) with boundary terms zero
-    z = params.intercepts[:, None] + m
-    cells = np.clip(_graded_cells(z.T, link).T, _CLIP_LO, None)
+    cuts = _cutpoints([params]).T + m
+    cells = np.clip(_graded_probs(cuts.T, link).T, _CLIP_LO, None)
     inv = np.divide(1.0, cells, out=np.zeros(cells.shape), where=weights > 0)
-    edge = np.zeros((1, z.shape[1]))
-    gpad = np.vstack([edge, link.pdf(z), edge])
-    hpad = np.vstack([edge, link.dpdf(z), edge])
+    gpad, hpad = np.zeros((2,) + cuts.shape)  # both vanish at the -inf and +inf ends
+    gpad[1:-1], hpad[1:-1] = link.pdf(cuts[1:-1]), link.dpdf(cuts[1:-1])
     score = np.diff(gpad, axis=0) * inv
     curv = np.diff(hpad, axis=0) * inv - score**2
     return score, curv, (gpad[1:-1], hpad[1:-1], inv)
@@ -390,8 +377,9 @@ def _binary_cell(sz, link: Link, derivs=False, out=None):
 
 def grad_wrt_theta(y, theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
     """Gradient of log f(y | theta) with respect to theta."""
-    score, _ = pointwise_score([y], theta, params, link)
-    return score[0] * params.loadings
+    z = _predictors(_theta_rows(theta, params.k), [params])
+    score, _ = _panel_cells(z, np.array([[y]]), [params], link, derivs=True)
+    return score[0, 0] * params.loadings
 
 
 def grad_wrt_beta(y, theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
@@ -402,32 +390,76 @@ def grad_wrt_beta(y, theta, params: ItemParams, link: Link = Link.LOGIT) -> np.n
     return g
 
 
-def observed_logprobs(y_col, theta, params: ItemParams, link: Link) -> np.ndarray:
-    """log f(y_i | theta_i) for one item across rows (y_col already observed)."""
-    y = np.asarray(y_col, dtype=int)
-    if params.kind is ModelKind.BINARY:  # the observed orientation alone
-        sz = params.intercepts[0] + _theta_rows(theta, params.k) @ params.loadings
-        sz *= 2 * y - 1  # -z at code 0
-        return _binary_cell(sz, link)
-    logp = category_logprobs(theta, params, link)
-    return logp[np.arange(theta.shape[0]), y]
+def _predictors(thetas, items, out=None) -> np.ndarray:
+    """z = Theta A' plus each binary item's intercept, shape (n, J): a binary
+    cell's predictor, and the a'theta of graded and gpc cells."""
+    z = np.matmul(_theta_rows(thetas), loadings_matrix(items).T, out=out)
+    z += [it.intercepts[0] if it.kind is ModelKind.BINARY else 0.0 for it in items]
+    return z
 
 
-def person_logliks(responses, thetas, items, link: Link) -> np.ndarray:
+def _panel_cells(z, codes, items, link: Link, derivs=False, out=None):
+    """log f(y | theta) at every cell of the (n, J) codes, or with derivs
+    the pair (score, curvature) in the predictor, as (n, J) arrays that are
+    0 at MISSING; log values keep category_logprobs' clamps, and a panel of
+    mixed kinds takes one call per kind.  z is the panel's _predictors
+    matrix, which binary cells sign in place.  out is a pair of arrays like
+    z that receive the results; the value uses the second as scratch."""
+    s, c = (np.empty_like(z), np.empty_like(z)) if out is None else out
+    kinds = dict.fromkeys(it.kind for it in items)
+    # a missing code, -1, reads the last category's column; its cell is zeroed below
+    if len(kinds) > 1:
+        for kind in kinds:
+            cols = [j for j, it in enumerate(items) if it.kind is kind]
+            part = _panel_cells(z[:, cols], codes[:, cols], [items[j] for j in cols], link, derivs)
+            s[:, cols], c[:, cols] = part if derivs else (part, 0.0)
+    elif items[0].kind is ModelKind.BINARY:
+        flip = codes == 0
+        np.negative(z, out=z, where=flip)  # the signed predictor: -z at code 0
+        _binary_cell(z, link, derivs, out=(s, c))
+        if derivs:
+            np.negative(s, out=s, where=flip)  # d/dz = -d/dsz at code 0
+    elif items[0].kind is ModelKind.GRADED:  # the cell's two cutpoints, category-major
+        table, cols = _cutpoints(items), np.arange(len(items))
+        cuts = z + np.stack([table[cols, codes], table[cols, codes + 1]])
+        p = _graded_probs(np.moveaxis(cuts, 0, -1), link)[..., 0]
+        if not derivs:
+            np.log(np.clip(p, _CLIP_LO, _CLIP_HI), out=s)
+            np.copyto(s, -np.inf, where=p == 0.0)
+        else:
+            inv = 1.0 / np.clip(p, _CLIP_LO, None)
+            g, h = link.pdf(cuts), link.dpdf(cuts)
+            np.multiply(g[1] - g[0], inv, out=s)
+            np.subtract((h[1] - h[0]) * inv, s**2, out=c)
+    else:
+        _check_gpc_link(items[0], link)
+        logits = _gpc_logits(z, items)
+        tgrid = np.arange(len(logits), dtype=float)[:, None, None]
+        logp = logits - special.logsumexp(logits, axis=0)
+        if not derivs:
+            s[...] = np.take_along_axis(logp, codes[None], axis=0)[0]
+        else:
+            p = np.exp(logp)
+            mean = (p * tgrid).sum(axis=0)
+            np.subtract(codes, mean, out=s)
+            np.subtract(mean**2, (p * tgrid**2).sum(axis=0), out=c)
+    for cells in (s, c) if derivs else (s,):
+        np.copyto(cells, 0.0, where=codes == MISSING)
+    return (s, c) if derivs else s
+
+
+def person_logliks(responses, thetas, items, link: Link, out=None) -> np.ndarray:
     """Per-person joint log-likelihood contributions (missing cells skipped).
 
     responses: Dataset or raw (n, J) integer array with MISSING markers.
+    out: an optional (3, n, J) work array for a caller that makes many calls
+    on one panel; each call overwrites it.
     """
-    responses = response_matrix(responses)
-    thetas = _theta_rows(thetas)
-    total = np.zeros(responses.shape[0])
-    for j, params in enumerate(items):
-        y = responses[:, j]
-        mask = y != MISSING
-        if not mask.any():
-            continue
-        total[mask] += observed_logprobs(y[mask], thetas[mask], params, link)
-    return total
+    codes = response_matrix(responses)
+    if len(items) != codes.shape[1]:
+        raise ValueError("one ItemParams per item is required")
+    z = _predictors(thetas, items, None if out is None else out[0])
+    return _panel_cells(z, codes, items, link, out=None if out is None else out[1:]).sum(axis=1)
 
 
 def log_joint_likelihood(data, thetas, items, link: Link = Link.LOGIT) -> float:
@@ -436,10 +468,7 @@ def log_joint_likelihood(data, thetas, items, link: Link = Link.LOGIT) -> float:
     data: Dataset or raw response matrix.  Missing cells contribute 0.
     Returns -inf (with a warning) if any observed cell has probability zero.
     """
-    responses = response_matrix(data)
-    if len(items) != responses.shape[1]:
-        raise ValueError("one ItemParams per item is required")
-    total = float(np.sum(person_logliks(responses, thetas, items, link)))
+    total = float(np.sum(person_logliks(data, thetas, items, link)))
     if not np.isfinite(total):
         warnings.warn("joint likelihood underflow: some observed category has probability zero")
         return -np.inf

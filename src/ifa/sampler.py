@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .models import Dataset, FactorConfig, ItemParams, Link, ModelKind, person_logliks
+from .models import Dataset, FactorConfig, ItemParams, Link, ModelKind, _predictors, person_logliks
 
 _TAIL_CUT = 6.0  # inverse-CDF sampling below, exponential rejection beyond
 
@@ -51,8 +51,7 @@ def _trunc_std_upper(a, b, rng):
         ar, br = a[rest], b[rest]
         u = rng.random(ar.shape)
         qa = special.ndtr(-ar)
-        qb = np.where(np.isinf(br), 0.0, special.ndtr(-np.where(np.isinf(br), 0.0, br)))
-        mass = qa - qb
+        mass = qa - special.ndtr(-br)
         ok = mass > 0
         z = np.empty_like(ar)
         if ok.any():
@@ -82,8 +81,7 @@ def truncated_normal_interval(mean, lower, upper, rng):
     if lo.any():
         z[lo] = -_trunc_std_upper(-b[lo], -a[lo], rng)
     if mid.any():
-        pa = special.ndtr(a[mid])
-        pb = np.where(np.isinf(b[mid]), 1.0, special.ndtr(np.where(np.isinf(b[mid]), 0.0, b[mid])))
+        pa, pb = special.ndtr(a[mid]), special.ndtr(b[mid])
         u = rng.random(int(mid.sum()))
         z[mid] = np.clip(special.ndtri(pa + u * (pb - pa)), a[mid], b[mid])
     return mean + z
@@ -121,9 +119,7 @@ class GibbsEngine:
     def refresh(self, items, factor_config: FactorConfig):
         k = self.k = factor_config.k
         self.loadings = np.vstack([it.loadings for it in items])
-        self.offsets = np.array(
-            [it.intercepts[0] if it.kind is ModelKind.BINARY else 0.0 for it in items]
-        )
+        self.offsets = _predictors(np.zeros(k), items)[0]  # z at theta = 0: the binary intercepts
         width = max(it.n_categories for it in items)
         table = np.stack([_latent_table(it, width) for it in items], axis=1)
         self.lower, self.upper = table[:, np.arange(len(items)), self.codes]
@@ -137,8 +133,6 @@ class GibbsEngine:
         proj = thetas @ self.loadings.T
         for col in range(self.data.n_items):
             mask = self.obs[:, col]
-            if not mask.any():
-                continue
             mean = proj[mask, col] + self.offsets[col]
             draw = truncated_normal_interval(mean, self.lower[mask, col], self.upper[mask, col], rng)
             resid[mask, col] = draw - self.offsets[col]
@@ -150,11 +144,12 @@ class GibbsEngine:
 class MhEngine:
     """Vectorized random-walk Metropolis over every person at once."""
 
-    def __init__(self, data: Dataset, items, factor_config: FactorConfig, link: Link, scale=None):
+    def __init__(self, data: Dataset, items, factor_config: FactorConfig, link: Link):
         self.data = data
         self.link = link
         self.k = factor_config.k
-        self.scale = 2.4 / np.sqrt(self.k) if scale is None else float(scale)
+        self.scale = 2.4 / np.sqrt(self.k)
+        self.work = np.empty((3, data.n_persons, data.n_items))  # person_logliks' buffers
         self.target_rate = 0.234
         self.steps_adapted = 0
         self.last_rate = np.nan
@@ -167,7 +162,7 @@ class MhEngine:
 
     def logpost(self, thetas):
         quad = np.einsum("nk,kl,nl->n", thetas, self.prior_prec, thetas)
-        return person_logliks(self.data, thetas, self.items, self.link) - 0.5 * quad
+        return person_logliks(self.data, thetas, self.items, self.link, out=self.work) - 0.5 * quad
 
     def step(self, thetas, logpost, rng, adapt=False):
         n = thetas.shape[0]

@@ -24,10 +24,10 @@ from ifa import (
 )
 from ifa.models import (
     MISSING,
+    _panel_cells,
+    _predictors,
     category_logprobs,
-    observed_logprobs,
     person_logliks,
-    pointwise_score,
     soft_grad_hess,
     soft_loglik,
 )
@@ -152,6 +152,39 @@ class TestGradedIrf:
         for theta in (-1.5, 0.0, 2.0):
             p_mid = category_probs(np.array([theta]), item, Link.LOGIT)[0, 1]
             assert abs(p_mid) < 1e-12
+        # an observed cell of probability exactly 0 gives -inf, and the joint
+        # likelihood warns
+        thetas = np.array([[-1.5], [0.0]])
+        logliks = person_logliks(np.array([[1], [2]]), thetas, [item], Link.LOGIT)
+        assert logliks[0] == -np.inf and np.isfinite(logliks[1])
+        with pytest.warns(UserWarning, match="probability zero"):
+            assert log_joint_likelihood(np.array([[1], [2]]), thetas, [item]) == -np.inf
+
+    @pytest.mark.parametrize("link, log_cdf", [(Link.LOGIT, log_expit), (Link.PROBIT, log_ndtr)])
+    def test_observed_cells_at_extreme_predictors(self, link, log_cdf):
+        # each code's cell from its two cutpoints alone, against the differences
+        # of the tails on the far side: log values clamped as category_logprobs
+        # clamps them, -inf where a cell underflows to 0
+        item = ItemParams(ModelKind.GRADED, np.array([-1.0, 0.0, 1.0]), np.array([1.0]))
+        z = np.array([-1000.0, -40.0, 40.0, 1000.0])
+        codes = np.tile(np.arange(4), (z.size, 1))
+        cuts = item.intercepts + z[:, None]
+        lower = np.exp(log_cdf(cuts))  # G(z_t), for z < 0
+        upper = np.exp(log_cdf(-cuts))  # 1 - G(z_t), for z > 0
+        p = np.where(
+            z[:, None] < 0,
+            np.column_stack([lower[:, 0], np.diff(lower, axis=1), 1.0 - lower[:, -1]]),
+            np.column_stack([1.0 - upper[:, 0], -np.diff(upper, axis=1), upper[:, -1]]),
+        )
+        with np.errstate(divide="ignore"):
+            expect = np.where(p == 0, -np.inf, np.log(np.clip(p, 1e-300, 1.0 - 1e-16)))
+        z_cells = np.repeat(z[:, None], 4, axis=1)
+        got = _panel_cells(z_cells, codes, [item] * 4, link)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+        if link is Link.LOGIT:  # the end cells are binary: scores G(-z_0) and -G(z_2)
+            score, _ = _panel_cells(z_cells[1:3], codes[1:3], [item] * 4, link, derivs=True)
+            np.testing.assert_allclose(score[:, 0], np.exp(log_expit(-cuts[1:3, 0])), rtol=1e-12)
+            np.testing.assert_allclose(score[:, 3], -np.exp(log_expit(cuts[1:3, 2])), rtol=1e-12)
 
     def test_upper_tail_cells_do_not_cancel(self):
         # far above every cutpoint G(z_t) rounds to 1, yet the cells are the
@@ -234,6 +267,13 @@ class TestProbitAccuracy:
         ref = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         assert np.abs(Link.PROBIT.cdf(x) - ref).max() < 1e-15
 
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    def test_densities_vanish_at_infinity(self, link):
+        # the panel kernel reads G' and G'' at the -inf and +inf outer cutpoints
+        x = np.array([-np.inf, np.inf])
+        np.testing.assert_array_equal(link.pdf(x), 0.0)
+        np.testing.assert_array_equal(link.dpdf(x), 0.0)
+
 
 class TestBinaryCell:
     """The one binary-cell kernel, through each of its callers, at predictors
@@ -251,7 +291,7 @@ class TestBinaryCell:
         y = np.arange(self.Z.size) % 2
         for codes in (y, 1 - y):
             picked = logp[np.arange(self.Z.size), codes]
-            np.testing.assert_array_equal(observed_logprobs(codes, theta, item, link), picked)
+            np.testing.assert_array_equal(person_logliks(codes[:, None], theta, [item], link), picked)
 
     @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
     def test_cjmle_cells_match_person_logliks_and_scores(self, link):
@@ -271,10 +311,7 @@ class TestBinaryCell:
                 cells(rows, x), person_logliks(resp, x, items, link), rtol=1e-12, atol=1e-12
             )
             score, curv = cells(rows, x, True)
-            expect = np.zeros((2,) + resp.shape)
-            for j, item in enumerate(items):
-                obs = resp[:, j] != MISSING
-                expect[:, obs, j] = pointwise_score(resp[obs, j], x[obs], item, link)
+            expect = _panel_cells(_predictors(x, items), resp, items, link, derivs=True)
             np.testing.assert_allclose(score, expect[0], rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(curv, expect[1], rtol=1e-9, atol=1e-12)
 
@@ -309,6 +346,42 @@ class TestJointLikelihood:
         first = log_joint_likelihood(np.array([[1, MISSING]]), theta, items, Link.LOGIT)
         second = log_joint_likelihood(np.array([[MISSING, 0]]), theta, items, Link.LOGIT)
         assert both == pytest.approx(first + second, abs=1e-12)
+
+    def test_item_count_must_match_columns(self):
+        item = ItemParams(ModelKind.BINARY, np.array([0.1]), np.array([1.0]))
+        for fn in (person_logliks, log_joint_likelihood):
+            with pytest.raises(ValueError, match="one ItemParams per item"):
+                fn(np.array([[1, 0, 1]]), np.zeros((1, 1)), [item], Link.LOGIT)
+
+    def test_mixed_panel_is_the_sum_of_its_kind_groups(self):
+        rng = np.random.default_rng(19)
+        kinds = [ModelKind.BINARY, ModelKind.GRADED, ModelKind.BINARY, ModelKind.GRADED]
+        items = [random_item(kind, 2, rng, categories=4) for kind in kinds]
+        theta = rng.normal(size=(30, 2))
+        codes = np.column_stack([rng.integers(0, it.n_categories, 30) for it in items])
+        codes[rng.random(codes.shape) < 0.2] = MISSING
+        for link in (Link.LOGIT, Link.PROBIT):
+            groups = [[0, 2], [1, 3]]
+            expect = sum(person_logliks(codes[:, g], theta, [items[j] for j in g], link) for g in groups)
+            np.testing.assert_allclose(person_logliks(codes, theta, items, link), expect, rtol=1e-14)
+
+    def test_work_arrays_give_the_fresh_result(self):
+        rng = np.random.default_rng(20)
+        theta = rng.normal(size=(25, 2))
+        for kind, link in MODEL_LINK_PAIRS:
+            items = [random_item(kind, 2, rng, categories=int(c)) for c in rng.integers(2, 5, 5)]
+            codes = np.column_stack([rng.integers(0, it.n_categories, 25) for it in items])
+            codes[rng.random(codes.shape) < 0.2] = MISSING
+            work = np.full((3,) + codes.shape, np.nan)
+            for _ in range(2):  # a second call overwrites the first's work
+                np.testing.assert_array_equal(
+                    person_logliks(codes, theta, items, link, out=work),
+                    person_logliks(codes, theta, items, link),
+                )
+            for derivs in (False, True):
+                fresh = _panel_cells(_predictors(theta, items), codes, items, link, derivs)
+                held = _panel_cells(_predictors(theta, items), codes, items, link, derivs, work[1:])
+                np.testing.assert_array_equal(held, fresh)
 
     def test_strictly_negative_for_nondegenerate_items(self):
         rng = np.random.default_rng(8)
@@ -356,26 +429,27 @@ class TestGradients:
                 assert rel_err(g, g_fd) < FD_REL_TOL
 
     def test_pointwise_score_and_curvature_match_finite_differences(self):
-        # theta moves along a / a'a, so the predictor m = a'theta moves by the step
+        # the panel kernel on panels with missing cells, graded items of 2 to 5
+        # categories among them; each cell moves with its own predictor z
         rng = np.random.default_rng(17)
         for kind, link in MODEL_LINK_PAIRS:
-            for _ in range(20):
+            for _ in range(5):
                 k = int(rng.integers(1, 4))
-                item = (
-                    make_graded_item(None, rng, k)
-                    if kind is ModelKind.GRADED
-                    else random_item(kind, k, rng, categories=4)
-                )
+                items = [random_item(kind, k, rng, categories=int(c)) for c in rng.integers(2, 6, 6)]
                 theta = rng.normal(size=(8, k))
-                y = rng.integers(0, item.n_categories, size=8)
-                shift = FD_STEP * item.loadings / (item.loadings @ item.loadings)
-                score, curv = pointwise_score(y, theta, item, link)
-                up = observed_logprobs(y, theta + shift, item, link)
-                lo = observed_logprobs(y, theta - shift, item, link)
-                assert rel_err(score, (up - lo) / (2 * FD_STEP)) < FD_REL_TOL
-                up = pointwise_score(y, theta + shift, item, link)[0]
-                lo = pointwise_score(y, theta - shift, item, link)[0]
-                assert rel_err(curv, (up - lo) / (2 * FD_STEP)) < FD_REL_TOL
+                codes = np.column_stack([rng.integers(0, it.n_categories, 8) for it in items])
+                codes[rng.random(codes.shape) < 0.2] = MISSING
+                z = _predictors(theta, items)
+
+                def cells(shift, derivs=False):
+                    return _panel_cells(z + shift, codes, items, link, derivs)
+
+                score, curv = cells(0.0, True)
+                assert np.all(score[codes == MISSING] == 0) and np.all(curv[codes == MISSING] == 0)
+                fd = (cells(FD_STEP) - cells(-FD_STEP)) / (2 * FD_STEP)
+                assert rel_err(score, fd) < FD_REL_TOL
+                fd = (cells(FD_STEP, True)[0] - cells(-FD_STEP, True)[0]) / (2 * FD_STEP)
+                assert rel_err(curv, fd) < FD_REL_TOL
 
     def test_binary_logit_canonical_identities(self):
         rng = np.random.default_rng(11)

@@ -90,6 +90,10 @@ class TestTruncatedNormal:
         draws = truncated_normal_interval(mean, lower, upper, rng)
         assert np.all(draws >= lower) and np.all(draws <= upper)
 
+    def test_infinite_bounds_need_no_guard(self):
+        # the interval masses read ndtr at infinite bounds directly
+        np.testing.assert_array_equal(ndtr([-np.inf, np.inf]), [0.0, 1.0])
+
     def test_inverted_bounds_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
@@ -217,7 +221,8 @@ class TestMhStep:
         n = 1000
         data = Dataset(np.ones((n, 1), dtype=int), np.array([2]))
         item = ItemParams(ModelKind.BINARY, np.array([0.3]), np.array([1.0]))
-        engine = MhEngine(data, [item], FactorConfig(1), Link.LOGIT, scale=1e-6)
+        engine = MhEngine(data, [item], FactorConfig(1), Link.LOGIT)
+        engine.scale = 1e-6
         rng = np.random.default_rng(8)
         thetas = np.zeros((n, 1))
         logpost = engine.logpost(thetas)
@@ -325,7 +330,8 @@ class TestEngines:
             ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([1.0])),
             ItemParams(ModelKind.BINARY, np.array([-0.3]), np.array([0.7])),
         ]
-        engine = MhEngine(data, items, FactorConfig(1), Link.LOGIT, scale=8.0)
+        engine = MhEngine(data, items, FactorConfig(1), Link.LOGIT)
+        engine.scale = 8.0
         rng = np.random.default_rng(3)
         thetas = np.zeros((300, 1))
         logpost = engine.logpost(thetas)
