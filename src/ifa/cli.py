@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 user or input error, 3 estimator stopped at the
 iteration cap without meeting its tolerance (results are still written),
 4 numerical failure of an estimator (for example a decreasing EM likelihood).
-Every artifact except timing.txt is byte-reproducible for a fixed seed and
-identical inputs.
+Every artifact except timing.txt is byte-reproducible for a fixed seed,
+identical inputs and one package version.
 """
 from __future__ import annotations
 

@@ -8,6 +8,13 @@ MhEngine, an adaptive random-walk Metropolis step for logit models.  Every
 person is one chain, all chains draw from the one generator passed in, and
 a fit refreshes one engine in place every iteration.  The engines back the
 Monte Carlo, stochastic EM and stochastic-approximation marginal estimators.
+
+Each latent cell takes one uniform and one inverse-CDF draw: an interval
+wholly above the mean is reflected below it first, so no interval lies in
+the upper tail, where ndtr rounds to 1.  Cells whose interval lies more
+than 37.5 sds below the mean, where ndtr underflows, take an
+exponential-tail draw with rate |hi| from the same uniform.  No cell
+rejects, so a sweep uses a fixed count of random numbers.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from scipy import special
 
 from .models import Dataset, FactorConfig, ItemParams, Link, ModelKind, _predictors, person_logliks
 
-_TAIL_CUT = 6.0  # inverse-CDF sampling below, exponential rejection beyond
+_DEEP = -37.5  # ndtr(hi) is subnormal below this: the exponential tail takes over
 
 
 def acceptance_probability(log_ratio) -> np.ndarray:
@@ -24,67 +31,33 @@ def acceptance_probability(log_ratio) -> np.ndarray:
     return np.exp(np.minimum(np.asarray(log_ratio, dtype=float), 0.0))
 
 
-def _robert_tail(a, rng):
-    """Draws from N(0,1) truncated to [a, inf) for large a (Robert's method)."""
-    a = np.asarray(a, dtype=float)
-    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-    out = np.empty_like(a)
-    todo = np.ones(a.shape, dtype=bool)
-    while todo.any():
-        n = int(todo.sum())
-        cand = a[todo] + rng.exponential(size=n) / lam[todo]
-        accept = rng.random(n) <= np.exp(-0.5 * (cand - lam[todo]) ** 2)
-        hit = np.where(todo)[0][accept]
-        out[hit] = cand[accept]
-        todo[hit] = False
-    return out
-
-
-def _trunc_std_upper(a, b, rng):
-    """Z ~ N(0,1) restricted to [a, b] with a >= 0 elementwise."""
-    out = np.empty_like(a)
-    deep = (a > _TAIL_CUT) & np.isinf(b)
-    if deep.any():
-        out[deep] = _robert_tail(a[deep], rng)
-    rest = ~deep
-    if rest.any():
-        ar, br = a[rest], b[rest]
-        u = rng.random(ar.shape)
-        qa = special.ndtr(-ar)
-        mass = qa - special.ndtr(-br)
-        ok = mass > 0
-        z = np.empty_like(ar)
-        if ok.any():
-            v = qa[ok] - u[ok] * mass[ok]
-            z[ok] = -special.ndtri(v)
-        if (~ok).any():  # interval mass underflows; approximate locally uniform
-            width = np.minimum(br[~ok] - ar[~ok], 1.0 / np.maximum(ar[~ok], 1.0))
-            z[~ok] = ar[~ok] + u[~ok] * width
-        out[rest] = np.clip(z, ar, br)
-    return out
-
-
 def truncated_normal_interval(mean, lower, upper, rng):
-    """Vectorized draws from N(mean, 1) truncated to [lower, upper]."""
+    """Vectorized draws from N(mean, 1) truncated to [lower, upper], one uniform a cell.
+
+    With a = lower - mean and b = upper - mean, a cell with a >= 0 is
+    reflected to (lo, hi) = (-b, -a); other cells keep (a, b).  Then
+    z = ndtri(ndtr(hi) - u (ndtr(hi) - ndtr(lo))), or, where ndtr(hi)
+    underflows (hi < -37.5), z = hi - E / |hi| with E exponential and
+    truncated to the interval.  z is clipped to [lo, hi] and the reflection
+    undone.  NaN means or bounds raise like inverted bounds.
+    """
     mean = np.asarray(mean, dtype=float)
-    a = np.broadcast_to(np.asarray(lower, dtype=float), mean.shape) - mean
-    b = np.broadcast_to(np.asarray(upper, dtype=float), mean.shape) - mean
-    if np.any(a >= b):
-        raise ValueError("lower truncation bound must be below the upper bound")
-    z = np.empty_like(mean)
-    up = a >= 0
-    lo = b <= 0
-    mid = ~(up | lo)
-    # fixed evaluation order keeps draws reproducible for a given rng state
-    if up.any():
-        z[up] = _trunc_std_upper(a[up], b[up], rng)
-    if lo.any():
-        z[lo] = -_trunc_std_upper(-b[lo], -a[lo], rng)
-    if mid.any():
-        pa, pb = special.ndtr(a[mid]), special.ndtr(b[mid])
-        u = rng.random(int(mid.sum()))
-        z[mid] = np.clip(special.ndtri(pa + u * (pb - pa)), a[mid], b[mid])
-    return mean + z
+    a = np.asarray(lower, dtype=float) - mean
+    b = np.asarray(upper, dtype=float) - mean
+    if not np.all(a < b):
+        raise ValueError("truncation needs lower < upper, with no NaN mean or bound")
+    flip = a >= 0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    u = rng.random(hi.shape)
+    p_hi = special.ndtr(hi)
+    z = np.asarray(special.ndtri(p_hi - u * (p_hi - special.ndtr(lo))))
+    deep = hi < _DEEP
+    if deep.any():
+        h = hi[deep]
+        z[deep] = h - np.log1p(u[deep] * np.expm1(h * (h - lo[deep]))) / h
+    np.clip(z, lo, hi, out=z)
+    return mean + np.where(flip, -z, z)
 
 
 def _latent_table(params: ItemParams, width: int) -> np.ndarray:
@@ -104,16 +77,20 @@ def _latent_table(params: ItemParams, width: int) -> np.ndarray:
 class GibbsEngine:
     """Vectorized probit Gibbs sweeps over every person at once.
 
-    `refresh` takes new items and correlation in place.  Each person's
-    precision is one row of the (N, J) observed mask times the (J, K^2)
-    loading outer products plus corr^{-1}, kept as the inverse L^{-1} of its
-    Cholesky factor, so theta = L^{-T} (L^{-1} r + z) for any missing cells.
+    `refresh` takes new items and correlation in place.  The observed mask
+    and the latent bounds are kept item-major, (J, N), so each item's cells
+    are one contiguous row.  Each person's precision is one column of the
+    mask times the (J, K^2) loading outer products plus corr^{-1}, kept as
+    the inverse L^{-1} of its Cholesky factor, so theta = L^{-T} (L^{-1} r + z)
+    for any missing cells.
     """
 
     def __init__(self, data: Dataset, items, factor_config: FactorConfig):
         self.data = data
-        self.obs = data.observed_mask
-        self.codes = np.where(self.obs, data.responses, 0)
+        self.obs = np.ascontiguousarray(data.observed_mask.T)
+        self.codes = np.where(self.obs, data.responses.T, 0)
+        # a complete item's cells are read as views, with no boolean-mask copy
+        self.rows = [slice(None) if m.all() else m for m in self.obs]
         self.refresh(items, factor_config)
 
     def refresh(self, items, factor_config: FactorConfig):
@@ -122,22 +99,20 @@ class GibbsEngine:
         self.offsets = _predictors(np.zeros(k), items)[0]  # z at theta = 0: the binary intercepts
         width = max(it.n_categories for it in items)
         table = np.stack([_latent_table(it, width) for it in items], axis=1)
-        self.lower, self.upper = table[:, np.arange(len(items)), self.codes]
+        self.lower, self.upper = table[:, np.arange(len(items))[:, None], self.codes]
         outer = np.einsum("jk,jl->jkl", self.loadings, self.loadings).reshape(-1, k * k)
-        prec = np.linalg.inv(factor_config.correlation) + (self.obs @ outer).reshape(-1, k, k)
+        prec = np.linalg.inv(factor_config.correlation) + (self.obs.T @ outer).reshape(-1, k, k)
         self.chol_inv = np.linalg.inv(np.linalg.cholesky(prec))
 
     def sweep(self, thetas, rng):
-        n = thetas.shape[0]
-        resid = np.zeros((n, self.data.n_items))
-        proj = thetas @ self.loadings.T
-        for col in range(self.data.n_items):
-            mask = self.obs[:, col]
-            mean = proj[mask, col] + self.offsets[col]
-            draw = truncated_normal_interval(mean, self.lower[mask, col], self.upper[mask, col], rng)
-            resid[mask, col] = draw - self.offsets[col]
-        white = np.einsum("nkl,nl->nk", self.chol_inv, resid @ self.loadings)
-        white += rng.standard_normal((n, self.k))
+        resid = np.zeros((self.data.n_items, thetas.shape[0]))
+        proj = self.loadings @ thetas.T
+        for col, rows in enumerate(self.rows):
+            mean = proj[col, rows] + self.offsets[col]
+            draw = truncated_normal_interval(mean, self.lower[col, rows], self.upper[col, rows], rng)
+            resid[col, rows] = draw - self.offsets[col]
+        white = np.einsum("nkl,ln->nk", self.chol_inv, self.loadings.T @ resid)
+        white += rng.standard_normal((thetas.shape[0], self.k))
         return np.einsum("nlk,nl->nk", self.chol_inv, white)
 
 

@@ -99,6 +99,61 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal_interval(np.zeros(3), 1.0, -1.0, rng)
 
+    def test_nan_mean_or_bound_rejected(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError):
+            truncated_normal_interval(np.array([np.nan, 0.0]), 0.0, np.inf, rng)
+        with pytest.raises(ValueError):
+            truncated_normal_interval(np.zeros(2), np.array([np.nan, 0.0]), np.inf, rng)
+        with pytest.raises(ValueError):
+            truncated_normal_interval(np.zeros(2), -np.inf, np.array([0.0, np.nan]), rng)
+
+    def test_one_uniform_per_cell(self):
+        # upper, lower, two-sided and beyond-ndtr cells in one call advance
+        # the generator exactly as one rng.random(n): no rejection loop
+        n = 4000
+        setup = np.random.default_rng(6)
+        mean = setup.normal(scale=20.0, size=n)
+        width = setup.uniform(0.1, 3.0, n)
+        base = setup.normal(scale=20.0, size=n)
+        lower = np.where(setup.random(n) < 0.3, -np.inf, base)
+        upper = np.where(setup.random(n) < 0.3, np.inf, base + width)
+        assert np.sum(lower - mean > 37.5) > 0 and np.sum(upper - mean < -37.5) > 0
+        drawn, reference = np.random.default_rng(7), np.random.default_rng(7)
+        draws = truncated_normal_interval(mean, lower, upper, drawn)
+        reference.random(n)
+        assert drawn.bit_generator.state == reference.bit_generator.state
+        assert np.all(np.isfinite(draws))
+        assert np.all((lower <= draws) & (draws <= upper))
+
+    def test_upper_tail_mirrors_lower_tail_bitwise(self):
+        # [l, inf) at mean m against (-inf, -l] at -m, l > m, out past ndtr's range
+        setup = np.random.default_rng(8)
+        mean = setup.normal(scale=3.0, size=5000)
+        bound = mean + setup.uniform(1e-3, 60.0, 5000)
+        upper_tail = truncated_normal_interval(mean, bound, np.inf, np.random.default_rng(9))
+        lower_tail = truncated_normal_interval(-mean, -np.inf, -bound, np.random.default_rng(9))
+        np.testing.assert_array_equal(upper_tail.view(np.int64), (-lower_tail).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "mean, upper",
+        [(-40.0, np.inf), (-1000.0, np.inf), (-60.0, 1.0)],
+        ids=["one-sided-40", "one-sided-1000", "two-sided-60"],
+    )
+    def test_beyond_ndtr_range_matches_exponential_tail(self, mean, upper):
+        # ndtr(mean) underflows, so the draw - 0 is exponential with rate
+        # |mean| truncated to [0, upper]: mean 1/r - w / (e^{r w} - 1) and sd
+        # at most 1/r, so 3 SE is 3 / (r sqrt(n))
+        n = 10**5
+        draws = truncated_normal_interval(np.full(n, mean), 0.0, upper, np.random.default_rng(10))
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws >= 0.0) & (draws <= upper))
+        rate = -mean
+        expected = 1.0 / rate
+        if np.isfinite(upper):
+            expected -= upper / np.expm1(rate * upper)
+        assert abs(draws.mean() - expected) < 3.0 / (rate * np.sqrt(n))
+
 
 class TestGibbsSweep:
     def test_zero_loadings_sample_prior(self):
