@@ -60,9 +60,9 @@ def truncated_normal_interval(mean, lower, upper, rng):
     return mean + np.where(flip, -z, z)
 
 
-def _latent_table(params: ItemParams, width: int) -> np.ndarray:
+def _latent_table(params: ItemParams) -> np.ndarray:
     """(lower, upper) bounds of the centered probit latent, by response code."""
-    table = np.array([[-np.inf] * width, [np.inf] * width])
+    table = np.array([[-np.inf] * params.n_categories, [np.inf] * params.n_categories])
     if params.kind is ModelKind.BINARY:
         table[0, 1] = table[1, 0] = 0.0  # latent y* = d + a'theta + eps, y = 1 iff y* >= 0
     elif params.kind is ModelKind.GRADED:
@@ -78,28 +78,29 @@ class GibbsEngine:
     """Vectorized probit Gibbs sweeps over every person at once.
 
     `refresh` takes new items and correlation in place.  The observed mask
-    and the latent bounds are kept item-major, (J, N), so each item's cells
-    are one contiguous row.  Each person's precision is one column of the
-    mask times the (J, K^2) loading outer products plus corr^{-1}, kept as
-    the inverse L^{-1} of its Cholesky factor, so theta = L^{-T} (L^{-1} r + z)
-    for any missing cells.
+    is kept item-major, (J, N).  Each item's observed codes are one
+    contiguous row, and so are the latent bounds that refresh looks up at
+    them, so a sweep gathers only the means.  Each person's precision is one
+    column of the mask times the (J, K^2) loading outer products plus
+    corr^{-1}, kept as the inverse L^{-1} of its Cholesky factor, so
+    theta = L^{-T} (L^{-1} r + z) for any missing cells.
     """
 
     def __init__(self, data: Dataset, items, factor_config: FactorConfig):
         self.data = data
         self.obs = np.ascontiguousarray(data.observed_mask.T)
-        self.codes = np.where(self.obs, data.responses.T, 0)
         # a complete item's cells are read as views, with no boolean-mask copy
         self.rows = [slice(None) if m.all() else m for m in self.obs]
+        codes = np.ascontiguousarray(data.responses.T)
+        self.codes = [y[rows] for y, rows in zip(codes, self.rows)]
         self.refresh(items, factor_config)
 
     def refresh(self, items, factor_config: FactorConfig):
         k = self.k = factor_config.k
         self.loadings = np.vstack([it.loadings for it in items])
         self.offsets = _predictors(np.zeros(k), items)[0]  # z at theta = 0: the binary intercepts
-        width = max(it.n_categories for it in items)
-        table = np.stack([_latent_table(it, width) for it in items], axis=1)
-        self.lower, self.upper = table[:, np.arange(len(items))[:, None], self.codes]
+        # each item's (lower, upper) latent bounds at its observed cells
+        self.bounds = [_latent_table(it)[:, y] for it, y in zip(items, self.codes)]
         outer = np.einsum("jk,jl->jkl", self.loadings, self.loadings).reshape(-1, k * k)
         prec = np.linalg.inv(factor_config.correlation) + (self.obs.T @ outer).reshape(-1, k, k)
         self.chol_inv = np.linalg.inv(np.linalg.cholesky(prec))
@@ -107,9 +108,9 @@ class GibbsEngine:
     def sweep(self, thetas, rng):
         resid = np.zeros((self.data.n_items, thetas.shape[0]))
         proj = self.loadings @ thetas.T
-        for col, rows in enumerate(self.rows):
+        for col, (rows, (lower, upper)) in enumerate(zip(self.rows, self.bounds)):
             mean = proj[col, rows] + self.offsets[col]
-            draw = truncated_normal_interval(mean, self.lower[col, rows], self.upper[col, rows], rng)
+            draw = truncated_normal_interval(mean, lower, upper, rng)
             resid[col, rows] = draw - self.offsets[col]
         white = np.einsum("nkl,ln->nk", self.chol_inv, self.loadings.T @ resid)
         white += rng.standard_normal((thetas.shape[0], self.k))

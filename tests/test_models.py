@@ -7,10 +7,11 @@ defining expressions.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import log_expit, log_ndtr
+from scipy.special import expit, log_expit, log_ndtr
 
 from ifa import (
     Dataset,
@@ -24,6 +25,7 @@ from ifa import (
 )
 from ifa.models import (
     MISSING,
+    _binary_cell,
     _panel_cells,
     _predictors,
     category_logprobs,
@@ -280,6 +282,68 @@ class TestBinaryCell:
     from -1000 to 1000: the code-0 cell must take the flipped predictor."""
 
     Z = np.array([-1000.0, -40.0, -6.0, -0.3, 0.0, 0.7, 5.0, 40.0, 1000.0])
+    # the logistic from its limits in, past the range where exp(x) overflows
+    X = np.array([0.0, 1e-8, 20.0, 37.0, 709.0, 745.0, 800.0, np.inf])
+    X = np.concatenate([X, -X[1:]])
+
+    @staticmethod
+    def assert_close_in_ulp(got, ref, maxulp=4):
+        """got within maxulp of ref wherever |ref| >= 1e-300, and equal at
+        the infinite arguments, where ref is an exact limit."""
+        ref64 = ref.astype(float)
+        checked = np.abs(ref64) >= 1e-300
+        err = np.abs(got[checked].astype(np.longdouble) - ref[checked])
+        assert np.all(err <= maxulp * np.spacing(np.abs(ref64[checked]))), (got, ref64)
+        ends = np.isinf(TestBinaryCell.X)
+        np.testing.assert_array_equal(got[ends], ref64[ends])
+
+    def test_logit_link_and_score_match_expit(self):
+        # references from expit in extended precision, and G'' = -G' tanh(x/2),
+        # which does not cancel near 0
+        x = self.X
+        ref = x.astype(np.longdouble)
+        g, g_flip = expit(ref), expit(-ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf, pdf, dpdf = Link.LOGIT.cdf(x), Link.LOGIT.pdf(x), Link.LOGIT.dpdf(x)
+            lam, curv = _binary_cell(x, Link.LOGIT, derivs=True)
+        self.assert_close_in_ulp(cdf, g)
+        self.assert_close_in_ulp(pdf, g * g_flip)
+        self.assert_close_in_ulp(dpdf, -g * g_flip * np.tanh(ref / 2))
+        self.assert_close_in_ulp(lam, g_flip)  # d log G(sz) / dsz = G(-sz)
+        self.assert_close_in_ulp(curv, -g * g_flip)
+        np.testing.assert_array_equal(cdf[np.isinf(x)], [1.0, 0.0])
+
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    def test_panel_cells_are_the_signed_predictor_forms(self, link):
+        # 20% missing cells: each observed cell is log G(sz), its score
+        # (2y - 1) lam(sz) and curvature dlam/dsz at sz = (2y - 1) z; each
+        # missing cell is exactly 0, whether the call holds work arrays or not
+        rng = np.random.default_rng(21)
+        items = [random_item(ModelKind.BINARY, 2, rng) for _ in range(6)]
+        theta = 3.0 * rng.normal(size=(200, 2))
+        codes = rng.integers(0, 2, size=(200, 6))
+        missing = rng.random(codes.shape) < 0.2
+        codes[missing] = MISSING
+        z = _predictors(theta, items)
+        sign = 2.0 * codes - 1.0
+        sz = sign * z
+        if link is Link.LOGIT:
+            value, lam = log_expit(sz), expit(-sz)
+            curv = -expit(sz) * lam
+        else:
+            value = log_ndtr(sz)
+            lam = np.exp(-0.5 * sz**2 - 0.5 * np.log(2 * np.pi) - value)
+            curv = -lam * (sz + lam)
+        observed = ~missing
+        for out in (None, np.full((2,) + codes.shape, np.nan)):
+            got = _panel_cells(z.copy(), codes, items, link, out=out)
+            np.testing.assert_allclose(got[observed], value[observed], rtol=1e-13, atol=0)
+            score, c = _panel_cells(z.copy(), codes, items, link, True, out=out)
+            np.testing.assert_allclose(score[observed], (sign * lam)[observed], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(c[observed], curv[observed], rtol=1e-13, atol=0)
+            for cells in (got, score, c):
+                assert np.all(cells[missing] == 0.0)
 
     @pytest.mark.parametrize("link, log_cdf", [(Link.LOGIT, log_expit), (Link.PROBIT, log_ndtr)])
     def test_logprobs_match_scipy_and_observed_pick(self, link, log_cdf):
@@ -529,6 +593,15 @@ class TestWeightedItemObjective:
             grad, hess = soft_grad_hess(design, weights, item, link)
             assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
             np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
+
+    def test_weights_of_the_wrong_shape_are_rejected(self):
+        # weights that would broadcast against the (3, 2) cells still fail
+        item = ItemParams(ModelKind.BINARY, np.array([0.2]), np.array([1.0]))
+        design = np.array([[-1.0], [0.0], [1.0]])
+        for weights in (np.ones((3, 1)), np.ones((1, 2)), np.ones((3, 3)), np.ones(2)):
+            for fn in (soft_loglik, soft_grad_hess):
+                with pytest.raises(ValueError, match=r"weights must be \(n_rows, n_categories\)"):
+                    fn(design, weights, item, Link.LOGIT)
 
     def test_one_hot_weights_recover_pointwise_loglik(self):
         rng = np.random.default_rng(14)
