@@ -27,8 +27,9 @@ dense work they stand for.  On a 2-core x86-64 machine (numpy 2.4, scipy
 scattered mask calls its inner loop once per run of True, so negating the
 code-0 cells took 350 us against 21 us for a multiply by held +-1 signs.
 So no hot kernel calls special.expit or a masked ufunc over a scattered
-mask: logistic values and derivatives take one exp of -|x|, binary cells
-are signed by multiplying by 2 code - 1, and zero weights enter by
+mask: logistic probabilities and derivatives are 1 / (1 + exp(x)) forms
+(_logistic_sf), whose overflow gives the exact limit, binary cells are
+signed by multiplying by 2 code - 1, and zero weights enter by
 multiplication.  Masked writes are left only for MISSING cells and for
 log values of cells of probability 0, which a complete panel lacks.
 
@@ -69,23 +70,22 @@ class Link(enum.Enum):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         if self is Link.LOGIT:
-            return np.abs((x >= 0) - _logistic_tail(x))  # 1 - G(-|x|) at x >= 0
+            return _logistic_sf(-x)
         return special.ndtr(x)  # erf-based, abs error < 1e-15
 
     def pdf(self, x):
         """First derivative G'."""
         x = np.asarray(x, dtype=float)
         if self is Link.LOGIT:
-            q = _logistic_tail(x)
-            return q * (1.0 - q)
+            return np.negative(_logistic_sf(x, derivs=True)[1])
         return np.exp(-0.5 * x * x) / _SQRT_2PI
 
     def dpdf(self, x):
         """Second derivative G''."""
         x = np.asarray(x, dtype=float)
         if self is Link.LOGIT:  # G' (1 - 2G), with 1 - 2G(x) = -tanh(x/2) exact near 0
-            q = _logistic_tail(x)
-            return -q * (1.0 - q) * np.tanh(0.5 * x)
+            _, dlam = _logistic_sf(x, derivs=True)
+            return np.multiply(dlam, np.tanh(0.5 * x), out=dlam)
         return -np.clip(x, -1e300, 1e300) * np.exp(-0.5 * x * x) / _SQRT_2PI  # 0 at +-inf
 
     def inverse(self, p):
@@ -95,11 +95,24 @@ class Link(enum.Enum):
         return special.ndtri(p)
 
 
-def _logistic_tail(x):
-    """G(-|x|) = t / (1 + t) for the logistic G, with t = exp(-|x|) <= 1:
-    one exp that cannot overflow, exact at +-inf and within a few ulp."""
-    t = np.exp(-np.abs(x))
-    return t / (1.0 + t)
+def _logistic_sf(x, out=None, derivs=False):
+    """1 - G(x) = G(-x) = 1 / (1 + exp(x)) for the logistic G, or with
+    derivs the pair (G(-x), -G'(x)), where G'(x) = G(-x) / (1 + exp(-x)):
+    the score d log G(x) / dx and its derivative.
+
+    exp(x) overflows to inf past 709.78 and 1 / exp(x) divides by 0 below
+    -745; both give the exact limits (0 or 1), so neither is warned of.
+    Each value is within 4 ulp.  out is a pair of arrays like x that
+    receive the results, the second scratch without derivs; the first may
+    be x itself."""
+    s, c = out or (np.empty_like(x), np.empty_like(x))
+    with np.errstate(over="ignore", divide="ignore"):
+        np.exp(x, out=c)
+        np.divide(1.0, np.add(c, 1.0, out=s), out=s)
+        if not derivs:
+            return s
+        np.subtract(-1.0, np.divide(1.0, c, out=c), out=c)  # -(1 + exp(-x))
+    return s, np.divide(s, c, out=c)
 
 
 class ModelKind(enum.Enum):
@@ -306,7 +319,8 @@ def _graded_probs(cuts, link: Link) -> np.ndarray:
     side of its lower cutpoint, so far upper-tail cells do not cancel to 0.
     G is evaluated once per cutpoint, at -|z|.  Callers lay the cutpoint axis
     out slowest (a transposed view), so each category's cells are contiguous."""
-    tail = link.cdf(-np.abs(cuts))
+    a = np.abs(cuts)
+    tail = _logistic_sf(a) if link is Link.LOGIT else link.cdf(-a)
     lo, hi = tail[..., :-1], tail[..., 1:]
     return np.where(cuts[..., :-1] >= 0, lo - hi, np.where(cuts[..., 1:] >= 0, 1.0 - hi, hi) - lo)
 
@@ -376,19 +390,17 @@ def _binary_cell(sz, link: Link, derivs=False, out=None):
     is a pair of arrays shaped like sz that receive the results; the value
     uses the second as scratch.  sz itself is only read.
 
-    Logit cells take one exp, of -|sz|, which cannot overflow: the value is
-    min(sz, 0) - log1p(exp(-|sz|)), and with q = G(-|sz|) = t / (1 + t) the
-    score is lam = G(-sz), q above 0 and 1 - q at or below it, and the
-    curvature -G(sz) G(-sz) = -q (1 - q).  Probit cells work from
-    log_ndtr, with lam in log form so that it stays finite in the deep tail.
+    Logit values take one exp, of -|sz|, which cannot overflow: log G(sz)
+    = min(sz, 0) - log1p(exp(-|sz|)).  Logit derivatives are those of
+    _logistic_sf: lam = G(-sz) = 1 / (1 + exp(sz)) and curv = -G'(sz) =
+    -lam / (1 + exp(-sz)), accurate in both tails and exact at +-inf.
+    Probit cells work from log_ndtr, with lam in log form so that it stays
+    finite in the deep tail.
     """
     s, c = out or (np.empty_like(sz), np.empty_like(sz))
     if link is Link.LOGIT:
-        if derivs:  # with q = G(-|sz|): lam = G(-sz) = |[sz <= 0] - q|, curv = -q (1 - q)
-            np.exp(np.negative(np.abs(sz, out=s), out=s), out=s)
-            np.divide(s, np.add(s, 1.0, out=c), out=s)
-            np.multiply(s, np.subtract(s, 1.0, out=c), out=c)
-            return np.abs(np.subtract(sz <= 0, s, out=s), out=s), c
+        if derivs:
+            return _logistic_sf(sz, out=(s, c), derivs=True)
         # log G(sz) = min(sz, 0) - log1p(exp(-|sz|)), in place
         np.log1p(np.exp(np.negative(np.abs(sz, out=s), out=s), out=s), out=s)
         return np.subtract(np.minimum(sz, 0.0, out=c), s, out=s)
@@ -514,8 +526,9 @@ def _item_weights(weights, n_rows, params: ItemParams) -> np.ndarray:
 def soft_loglik(design, weights, params: ItemParams, link: Link) -> float:
     """Weighted log-likelihood sum_r sum_t weights[r, t] * log f(t | design_r).
 
-    A log value of -inf (or nan) counts as -1e300, so a zero weight on a
-    cell of probability 0 adds exactly 0.
+    weights: (n, n_cat) non-negative weights, as in soft_grad_hess.  A log
+    value of -inf (or nan) counts as -1e300, so a zero weight on a cell of
+    probability 0 adds exactly 0.
     """
     logp = category_logprobs(design, params, link)
     w = _item_weights(weights, logp.shape[0], params)
