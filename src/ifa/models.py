@@ -103,8 +103,7 @@ def _logistic_sf(x, out=None, derivs=False):
     exp(x) overflows to inf past 709.78 and 1 / exp(x) divides by 0 below
     -745; both give the exact limits (0 or 1), so neither is warned of.
     Each value is within 4 ulp.  out is a pair of arrays like x that
-    receive the results, the second scratch without derivs; the first may
-    be x itself."""
+    receive the results, the second scratch without derivs."""
     s, c = out or (np.empty_like(x), np.empty_like(x))
     with np.errstate(over="ignore", divide="ignore"):
         np.exp(x, out=c)
