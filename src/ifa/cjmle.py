@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .identify import check_q_matrix, standardize_factors
+from .identify import standardize_factors
 from .itemfit import _MAX_HALVINGS, _ROUNDOFF_GAIN, _project_rows, fit_item, project_ball
 from .models import (
     MISSING,
@@ -24,7 +24,6 @@ from .models import (
     Link,
     ModelKind,
     _binary_cell,
-    _default_model,
     _panel_cells,
     _predictors,
     as_link,
@@ -33,7 +32,7 @@ from .models import (
     person_logliks,
     response_matrix,
 )
-from .start import spectral_start
+from .start import check_fit_inputs, spectral_start
 
 _GRAD_TOL = 1e-6
 
@@ -311,19 +310,12 @@ def fit_cjmle(
     supplies the start.  The trajectory records the joint log-likelihood
     after every full (person + item) iteration and never decreases.
     """
-    link = as_link(link)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    thetas, items = (None, None) if init is None else init
+    model, link, q = check_fit_inputs(data, k, model, link, q, items, thetas)
     config = config or CjmleConfig()
-    model = _default_model(model, data.categories)
-    if q is not None:
-        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
     if init is None:
         thetas, items = spectral_start(data, k, model, link, q)
-    else:
-        thetas, items = init
-        thetas = np.array(thetas, dtype=float)
-        items = list(items)
+    thetas, items = np.array(thetas, dtype=float), list(items)
     radius = config.radius(k)
     thetas = _project_rows(thetas, radius)
     items = [project_ball(item, radius) for item in items]

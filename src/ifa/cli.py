@@ -27,7 +27,7 @@ from .em import (
     fit_sa_mcmc,
     fit_stem,
 )
-from .models import Link, ModelKind, _default_model, as_link
+from .models import Link, ModelKind, _resolve_model, as_link
 from .simulate import SimSpec, recovery_report, simulate, theta_correlations
 from .start import spectral_start
 
@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Each key overrides its flag, converted and checked as the flag's own
+    text would be; a null value is the flag's default."""
     if args.config is None:
         return
     try:
@@ -80,11 +82,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise CliError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise CliError("config file must hold a JSON object of flag overrides")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("config", "help")}
     for key, value in overrides.items():
-        attr = key.replace("-", "_").lstrip("_")
-        if not hasattr(args, attr) or attr == "config":
+        action = actions.get(key.replace("-", "_").lstrip("_"))
+        if action is None:
             raise CliError(f"unknown config key {key!r}")
-        setattr(args, attr, value)
+        if value is not None:
+            try:
+                value = (action.type or str)(str(value))
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"choose from {', '.join(action.choices)}")
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"config key {key!r}: invalid value {value!r}: {exc}") from None
+        setattr(args, action.dest, action.default if value is None else value)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -101,37 +111,26 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _check_model_link(model: ModelKind, link: Link) -> None:
-    if model is ModelKind.GPC and link is not Link.LOGIT:
-        raise CliError("the adjacent-odds (gpc) model supports the logit link only")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    model = _default_model(args.model, [args.categories])
-    link = as_link(args.link)
-    _check_model_link(model, link)
-    try:
-        spec = SimSpec(
-            n_persons=args.n,
-            n_items=args.j,
-            k=args.k,
-            model=model,
-            link=link,
-            categories=args.categories,
-            missing_rate=args.missing_rate,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = SimSpec(
+        n_persons=args.n,
+        n_items=args.j,
+        k=args.k,
+        model=args.model,
+        link=args.link,
+        categories=args.categories,
+        missing_rate=args.missing_rate,
+        seed=args.seed,
+    )
     data, thetas, items = simulate(spec)
     config = {
         "command": "simulate",
         "n": args.n,
         "j": args.j,
         "k": args.k,
-        "model": model.value,
-        "link": link.value,
+        "model": spec.model.value,
+        "link": spec.link.value,
         "categories": args.categories,
         "missing_rate": args.missing_rate,
         "seed": args.seed,
@@ -141,8 +140,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out / "truth.json",
         io.params_to_dict(
             items,
-            model=model,
-            link=link,
+            model=spec.model,
+            link=spec.link,
             k=args.k,
             seed=args.seed,
             correlation=spec.factor_config().correlation,
@@ -180,17 +179,15 @@ def _run_estimator(args, data, model: ModelKind, link: Link):
         rows = [(i + 1, ll) for i, ll in enumerate(fit.trajectory)]
         return fit.items, fit.thetas, None, fit.converged, ["iteration", "log_likelihood"], rows
     if args.estimator == "em":
-        if k > 3:
-            raise CliError(
-                "the quadrature em estimator supports k <= 3; "
-                "use the stem or sa estimator for higher dimensions"
-            )
         config = EmConfig(
             **_given(args, points_per_dim="quad_points", max_iters="max_iters", tol="tol")
         )
         fit = fit_em_quadrature(data, k, model, link, config)
         rows = [(i + 1, ll) for i, ll in enumerate(fit.info["loglik_trail"])]
         return fit.items, None, fit.correlation, fit.converged, ["iteration", "log_likelihood"], rows
+    if args.estimator == "svd":
+        thetas, items = spectral_start(data, k, model, link)
+        return items, thetas, None, True, ["iteration", "log_likelihood"], []
     if args.estimator == "mcem":
         fit = fit_mcem(
             data, k, McemConfig(seed=seed, **_given(args, max_iters="max_iters")),
@@ -202,17 +199,12 @@ def _run_estimator(args, data, model: ModelKind, link: Link):
             StemConfig(seed=seed, **_given(args, total_iters="total_iters", burn_in="burn_in")),
             model=model, link=link,
         )
-    elif args.estimator == "sa":
+    else:
         fit = fit_sa_mcmc(
             data, k,
             SaConfig(seed=seed, **_given(args, total_iters="total_iters", warmup="burn_in")),
             model=model, link=link,
         )
-    elif args.estimator == "svd":
-        thetas, items = spectral_start(data, k, model, link)
-        return items, thetas, None, True, ["iteration", "log_likelihood"], []
-    else:
-        raise CliError("--estimator is required for the fit command")
     norms = np.linalg.norm(fit.trajectory, axis=1)
     changes = np.concatenate([[norms[0]], np.linalg.norm(np.diff(fit.trajectory, axis=0), axis=1)])
     rows = [(i + 1, n, c) for i, (n, c) in enumerate(zip(norms, changes))]
@@ -231,18 +223,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"malformed dataset {args.input}: {exc}") from exc
-    model = _default_model(args.model, data.categories)
-    link = as_link(args.link)
-    _check_model_link(model, link)
-    if model is ModelKind.BINARY and np.any(data.categories != 2):
-        raise CliError("binary model requested but the dataset has items with more than 2 categories")
+    model, link = _resolve_model(args.model, args.link, data.categories)
     started = time.perf_counter()
-    try:
-        items, thetas, correlation, converged, header, rows = _run_estimator(
-            args, data, model, link
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    items, thetas, correlation, converged, header, rows = _run_estimator(args, data, model, link)
     elapsed = time.perf_counter() - started
     io.write_json(
         out / "params.json",
@@ -343,13 +326,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "fit":
             return cmd_fit(args)
         return cmd_evaluate(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a library ValueError refuses its input
         print(f"ifa: error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except RuntimeError as exc:

@@ -25,22 +25,19 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import linalg as sla
 
-from .identify import check_q_matrix
 from .itemfit import fit_item, from_internal, internal_grad_hess, resolve_free_mask, to_internal
 from .models import (
     Dataset,
     FactorConfig,
     ItemParams,
     Link,
-    ModelKind,
-    _default_model,
     as_link,
     category_logprobs,
     response_matrix,
 )
 from .sampler import GibbsEngine, MhEngine
 from .spectral import require_rank
-from .start import default_items, spectral_start
+from .start import check_fit_inputs, check_items, default_items, spectral_start
 
 _ESTEP_CELL_BUDGET = 2_000_000
 _LOG_FLOOR = -1e300
@@ -148,11 +145,10 @@ def log_marginal_likelihood(
     """Quadrature marginal log-likelihood, log-sum-exp stabilized."""
     link = as_link(link)
     _require_small_k(factor_config.k)
+    check_items(items, data, factor_config.k)
     if grid is None:
         grid = build_grid(points_per_dim, factor_config)
-    responses = response_matrix(data)
-    _, _, total = _estep_tables(responses, items, grid, link)
-    return total
+    return _estep_tables(response_matrix(data), items, grid, link)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +271,9 @@ def fit_em_quadrature(
     init_items=None,
 ) -> MarginalFit:
     """Gauss-Hermite EM for the marginal maximum likelihood estimator."""
-    link = as_link(link)
+    model, link, q = check_fit_inputs(data, k, model, link, q, init_items)
     _require_small_k(k)
     config = config or EmConfig()
-    model = _default_model(model, data.categories)
-    if q is not None:
-        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
     if init_items is not None:
         items = list(init_items)
     elif q is None and k > 1:
@@ -317,11 +310,8 @@ def fit_em_quadrature(
         n_iters += 1
     if not converged:
         warnings.warn("fit_em_quadrature hit max_iters before meeting the tolerance")
-        final_ll = log_marginal_likelihood(
-            responses, items, FactorConfig(k, corr), link=link,
-            points_per_dim=config.points_per_dim,
-        )
-        loglik_trail.append(final_ll)
+        grid = build_grid(config.points_per_dim, FactorConfig(k, corr))
+        loglik_trail.append(_estep_tables(responses, items, grid, link)[2])
     return MarginalFit(
         items=items,
         correlation=corr,
@@ -341,11 +331,11 @@ class _ChainPool:
     """Warm person-factor chains driven by one Gibbs or MH engine, built at
     the first refresh and refreshed in place after it."""
 
-    def __init__(self, data, k: int, link: Link, model: ModelKind, seed: int):
+    def __init__(self, data, k: int, link: Link, seed: int):
         self.data = data
         self.k = k
         self.link = link
-        self.use_gibbs = link is Link.PROBIT and model is not ModelKind.GPC
+        self.use_gibbs = link is Link.PROBIT
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.thetas = np.zeros((data.n_persons, k))
         self.engine = None
@@ -386,22 +376,14 @@ def _sampled_start(data, k: int, model, link, q, seed: int):
     Returns (link, q, items, chains, weights), the weights each item's
     (person, category) slice of the 0/1 category indicators, built once per fit.
     """
-    link = as_link(link)
-    model = _default_model(model, data.categories)
+    model, link, q = check_fit_inputs(data, k, model, link, q)
     if q is None:  # a Q matrix fixes the rotation; exploratory fits need k+1 items
         require_rank(data, k)
-    else:
-        q = check_q_matrix(q, data.n_items, k, allow_empty_rows=True)
     items = default_items(data, k, model, link, q)
-    chains = _ChainPool(data, k, link, model, seed)
+    chains = _ChainPool(data, k, link, seed)
     indicators = _indicators(data.responses.T, int(data.categories.max()))
-    return link, q, items, chains, _item_weights(indicators, items)
-
-
-def _item_weights(indicators, items) -> list:
-    """Each item's (person, category) weights: its slice of the
-    (item, person, category) indicators."""
-    return [indicators[j, :, : it.n_categories] for j, it in enumerate(items)]
+    weights = [indicators[j, :, : it.n_categories] for j, it in enumerate(items)]
+    return link, q, items, chains, weights
 
 
 def _sampled_em(data, k, model, link, q, seed, schedule, thin: int, adapt_iters: int):

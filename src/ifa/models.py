@@ -128,11 +128,18 @@ def as_model(model) -> ModelKind:
     return model if isinstance(model, ModelKind) else ModelKind(str(model).lower())
 
 
-def _default_model(model, categories) -> ModelKind:
-    """The given model, else binary if every item has 2 categories, else graded."""
-    if model is not None:
-        return as_model(model)
-    return ModelKind.BINARY if np.all(np.asarray(categories) == 2) else ModelKind.GRADED
+def _resolve_model(model, link, categories) -> tuple[ModelKind, Link]:
+    """R1: model=None is binary if every item has 2 categories, else graded;
+    binary needs 2 categories on every item, and gpc the logit link."""
+    link = as_link(link)
+    binary = bool(np.all(np.asarray(categories) == 2))
+    if model is None:
+        model = ModelKind.BINARY if binary else ModelKind.GRADED
+    model = as_model(model)
+    if model is ModelKind.BINARY and not binary:
+        raise ValueError("the binary model needs 2 categories on every item")
+    _check_gpc_link(model, link)
+    return model, link
 
 
 @dataclass
@@ -273,8 +280,8 @@ def _theta_rows(theta, k=None) -> np.ndarray:
     return theta
 
 
-def _check_gpc_link(params: ItemParams, link: Link):
-    if params.kind is ModelKind.GPC and link is not Link.LOGIT:
+def _check_gpc_link(kind: ModelKind, link: Link):
+    if kind is ModelKind.GPC and link is not Link.LOGIT:
         raise ValueError("generalized partial credit items support the logit link only")
 
 
@@ -289,7 +296,7 @@ def _gpc_logits(z, items) -> np.ndarray:
 
 def category_probs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
     """Probabilities of all categories at each latent row, shape (n, n_cat)."""
-    _check_gpc_link(params, link)
+    _check_gpc_link(params.kind, link)
     theta = _theta_rows(theta, params.k)
     if params.kind is ModelKind.BINARY:
         p1 = link.cdf(params.intercepts[0] + theta @ params.loadings)
@@ -327,7 +334,7 @@ def _graded_probs(cuts, link: Link) -> np.ndarray:
 def category_logprobs(theta, params: ItemParams, link: Link = Link.LOGIT) -> np.ndarray:
     """Log category probabilities; probabilities are clamped to
     [1e-300, 1-1e-16] inside the log only, with an exact zero mapping to -inf."""
-    _check_gpc_link(params, link)
+    _check_gpc_link(params.kind, link)
     theta = _theta_rows(theta, params.k)
     if params.kind is ModelKind.BINARY:
         m = params.intercepts[0] + theta @ params.loadings
@@ -471,7 +478,7 @@ def _panel_cells(z, codes, items, link: Link, derivs=False, out=None):
             np.multiply(g[1] - g[0], inv, out=s)
             np.subtract((h[1] - h[0]) * inv, s**2, out=c)
     else:
-        _check_gpc_link(items[0], link)
+        _check_gpc_link(items[0].kind, link)
         logits = _gpc_logits(z, items)
         tgrid = np.arange(len(logits), dtype=float)[:, None, None]
         logp = logits - special.logsumexp(logits, axis=0)
@@ -544,7 +551,7 @@ def soft_grad_hess(design, weights, params: ItemParams, link: Link):
     the predictor derivatives; a binary intercept shifts m, and gpc steps and
     graded thresholds have their own blocks.
     """
-    _check_gpc_link(params, link)
+    _check_gpc_link(params.kind, link)
     design = _theta_rows(design, params.k)
     w = _item_weights(weights, design.shape[0], params)
     wt = np.ascontiguousarray(w.T)

@@ -20,8 +20,8 @@ from .models import (
     ItemParams,
     Link,
     ModelKind,
+    _resolve_model,
     as_link,
-    as_model,
     category_probs,
     loadings_matrix,
 )
@@ -29,7 +29,8 @@ from .models import (
 
 @dataclass
 class SimSpec:
-    """Recipe for one simulated dataset."""
+    """Recipe for one simulated dataset; model=None takes the default for
+    the category count, as in the fits."""
 
     n_persons: int
     n_items: int
@@ -46,12 +47,9 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.model = as_model(self.model)
-        self.link = as_link(self.link)
+        self.model, self.link = _resolve_model(self.model, self.link, [self.categories])
         if self.n_persons < 1 or self.n_items < 1 or self.k < 1:
             raise ValueError("n_persons, n_items, and k must be positive")
-        if self.model is ModelKind.BINARY and self.categories != 2:
-            raise ValueError("binary model requires categories == 2")
         if self.categories < 2:
             raise ValueError("categories must be at least 2")
         for rng_pair in (self.loading_range, self.intercept_range, self.threshold_range):
@@ -63,8 +61,7 @@ class SimSpec:
             self.q_matrix = check_q_matrix(self.q_matrix, self.n_items, self.k)
 
     def factor_config(self) -> FactorConfig:
-        corr = np.eye(self.k) if self.correlation is None else self.correlation
-        return FactorConfig(self.k, corr)
+        return FactorConfig(self.k, self.correlation)
 
 
 @dataclass

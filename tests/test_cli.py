@@ -200,6 +200,50 @@ class TestFitCommand:
         assert code == 2
         assert "categories" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["cjmle", "em", "mcem", "stem", "sa", "svd"])
+    def test_binary_model_on_ordinal_data_rejected_by_every_estimator(
+        self, tmp_path, capsys, estimator
+    ):
+        panel = simulate_panel(tmp_path, extra=("--model", "graded", "--categories", "3"))
+        out = tmp_path / "out"
+        code = run(
+            "--command", "fit", "--estimator", estimator, "--k", 1,
+            "--model", "binary", "--input", panel / "data.csv", "--output-dir", out,
+        )
+        assert code == 2
+        assert "categories" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_config_values_are_converted_like_flags(self, tmp_path):
+        panel = simulate_panel(tmp_path)
+        config = tmp_path / "config.json"
+        write_json(config, {"estimator": "svd", "k": "2", "seed": None})
+        out = tmp_path / "from_config"
+        code = run(
+            "--command", "fit", "--input", panel / "data.csv",
+            "--output-dir", out, "--config", config,
+        )
+        assert code == 0
+        params = read_json(out / "params.json")
+        assert params["k"] == 2 and params["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"max_iters": 2.5}, "max_iters"), ({"estimator": "bogus"}, "estimator")],
+    )
+    def test_invalid_config_value_names_its_key(self, tmp_path, capsys, overrides, key):
+        panel = simulate_panel(tmp_path)
+        config = tmp_path / "config.json"
+        write_json(config, {"estimator": "cjmle", **overrides})
+        code = run(
+            "--command", "fit", "--input", panel / "data.csv",
+            "--output-dir", tmp_path / "out", "--config", config,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err
+        assert "required" not in err and "Traceback" not in err
+
     def test_config_file_overrides_flags(self, tmp_path):
         panel = simulate_panel(tmp_path)
         config = tmp_path / "config.json"

@@ -391,7 +391,7 @@ class TestStochasticGradient:
             for it, cnt in zip(items, counts)
         ])
         # complete-data side: the sampled engines' category indicators
-        weights = ifa.em._item_weights(ifa.em._indicators(responses.T, 2), items)
+        weights = ifa.em._indicators(responses.T, 2)
         # per-person posterior over nodes, from raw sigmoid algebra
         sign = np.where(responses == 1, 1.0, -1.0)
         linear = intercepts[None, :] + np.outer(grid.nodes[:, 0], loadings)  # (M, J)
@@ -478,7 +478,7 @@ class TestChainPool:
     def test_one_engine_across_refreshes(self, link):
         data, _, _ = simulate(SimSpec(n_persons=60, n_items=4, k=1, missing_rate=0.2, seed=23))
         items = default_items(data, 1, ModelKind.BINARY, link)
-        pool = ifa.em._ChainPool(data, 1, link, ModelKind.BINARY, seed=3)
+        pool = ifa.em._ChainPool(data, 1, link, seed=3)
         pool.refresh(items, np.eye(1))
         engine = pool.engine
         for _ in range(3):
@@ -490,7 +490,7 @@ class TestChainPool:
         # the Robbins-Monro gain 1 / (10 + s)^0.6 decays over the whole fit
         data, _, _ = simulate(SimSpec(n_persons=60, n_items=4, k=1, seed=24))
         items = default_items(data, 1, ModelKind.BINARY, Link.LOGIT)
-        pool = ifa.em._ChainPool(data, 1, Link.LOGIT, ModelKind.BINARY, seed=4)
+        pool = ifa.em._ChainPool(data, 1, Link.LOGIT, seed=4)
         for t in range(1, 4):
             pool.refresh(items, np.eye(1))
             pool.draw(1, ifa.em._SWEEPS_PER_DRAW, adapt=True)

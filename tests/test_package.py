@@ -2,7 +2,8 @@
 
 An unused module-level import in the package is dead code, and so is a
 module-level private function, class or constant that no module of the
-package reads; the public names listed in ``ifa.__all__`` must all exist.
+package reads; no module-level name is defined in two modules, and the
+public names listed in ``ifa.__all__`` must all exist.
 """
 from __future__ import annotations
 
@@ -77,6 +78,33 @@ def test_scanner_flags_unread_private_names():
 def test_no_unread_private_names():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert unread_private_names(sources) == []
+
+
+def module_definitions(source: str) -> set[str]:
+    """Names a module defines at top level: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_scanner_finds_module_definitions():
+    source = "import os\n_A = 1\nb: int = 2\ndef f():\n    c = 3\nclass G:\n    d = 4\n"
+    assert module_definitions(source) == {"_A", "b", "f", "G"}
+
+
+def test_no_name_defined_in_two_modules():
+    seen, twice = {}, []
+    for path in MODULES:
+        for name in module_definitions(path.read_text(encoding="utf-8")):
+            if name in seen:
+                twice.append(f"{name} in {seen[name]} and {path.name}")
+            seen[name] = path.name
+    assert twice == []
 
 
 def test_public_names_resolve():
