@@ -71,16 +71,29 @@ def _all_binary(items) -> bool:
     return all(item.kind is ModelKind.BINARY for item in items)
 
 
-def _binary_cells(responses, design, offset, link: Link):
-    """_newton_block callback for B binary problems over (B, M) responses.
+def _cell_arrays(responses):
+    """The int8 signs d sz / dz (1 at code 1, -1 at code 0, 0 at missing cells),
+    observed mask and (3, B, M) work array of the binary cells of (B, M) responses."""
+    sign = np.subtract(responses == 1, responses == 0, dtype=np.int8, order="C")
+    return sign, np.ascontiguousarray(responses != MISSING), np.empty((3,) + responses.shape)
+
+
+def _fit_arrays(responses):
+    """One fit's cell arrays in the person (N, J) and item (J, N) layouts,
+    both on one work array, which log_joint_likelihood also takes as out."""
+    sign, observed, work = persons = _cell_arrays(responses)
+    items = np.ascontiguousarray(sign.T), np.ascontiguousarray(observed.T)
+    return persons, items + (work.reshape((3,) + sign.T.shape),)
+
+
+def _binary_cells(arrays, design, offset, link: Link):
+    """_newton_block callback for B binary problems, given the _cell_arrays
+    of their (B, M) responses.
 
     Cell (b, m) has the predictor x_b . design_m + offset_m.  The work arrays
     are reused, so each call overwrites what the previous one returned.
     """
-    # d sz / dz: 1 at code 1, -1 at code 0, 0 at missing cells
-    sign = np.subtract(responses == 1, responses == 0, dtype=np.int8, order="C")
-    observed = np.ascontiguousarray(responses != MISSING)
-    work = np.empty((3,) + responses.shape)
+    sign, observed, work = arrays
 
     def cells(rows, x, derivs=False):
         z, s, c = work[:, : len(x)]
@@ -100,14 +113,15 @@ def _binary_cells(responses, design, offset, link: Link):
     return cells
 
 
-def _person_cells(responses, items, link: Link):
-    """The same callback for person rows of any item kind: the values from
-    person_logliks, the derivatives from one panel-kernel call."""
+def _person_cells(responses, items, link: Link, work):
+    """The same callback for person rows of any item kind, in a (3, N, J) work
+    array: the values from person_logliks, the derivatives from one panel-kernel call."""
 
     def cells(rows, x, derivs=False):
+        w = work[:, : len(x)]
         if not derivs:
-            return person_logliks(responses[rows], x, items, link)
-        return _panel_cells(_predictors(x, items), responses[rows], items, link, True)
+            return person_logliks(responses[rows], x, items, link, out=w)
+        return _panel_cells(_predictors(x, items, w[0]), responses[rows], items, link, True, w[1:])
 
     return cells
 
@@ -134,6 +148,7 @@ def _newton_block(x, design, cells, radius, max_steps, free=None):
     x = _project_rows(np.array(x, dtype=float), radius)
     n_problems, p = x.shape
     outer = (design[:, :, None] * design[:, None, :]).reshape(len(design), p * p)
+    curv = np.empty((2, n_problems, p * p))
     eye = np.eye(p, dtype=bool)
     free = np.ones(x.shape, dtype=bool) if free is None else free
     obj = cells(slice(None), x)
@@ -148,9 +163,13 @@ def _newton_block(x, design, cells, radius, max_steps, free=None):
         s, c = cells(rows_of(active), xa, True)
         fr = free[active]
         # s @ design and c @ outer, written transposed so that OpenBLAS does not
-        # copy s and c into its own buffers, whose pages then stay resident
+        # copy s and c into its own buffers, whose pages then stay resident; the
+        # curvature goes (p*p, m) into one buffer and negated, (m, p, p), into the other
         grad = (design.T @ s.T).T * fr
-        damp = -(outer.T @ c.T).T.reshape(-1, p, p) * (fr[:, :, None] & fr[:, None, :])
+        h = np.matmul(outer.T, c.T, out=curv[0, : len(xa)].reshape(p * p, -1))
+        damp = np.negative(h.T, out=curv[1, : len(xa)]).reshape(-1, p, p)
+        if not fr.all():
+            damp *= fr[:, :, None] & fr[:, None, :]
         ridge = 1e-9 * (1.0 + np.abs(damp[:, eye]).max(axis=1))
         damp[:, eye] += ridge[:, None] + ~fr  # identity curvature where masked
         try:
@@ -187,23 +206,27 @@ def _newton_block(x, design, cells, radius, max_steps, free=None):
     return x, failed
 
 
-def update_person_block(data, items, thetas, config: CjmleConfig, link: Link = Link.LOGIT):
+def update_person_block(
+    data, items, thetas, config: CjmleConfig, link: Link = Link.LOGIT, arrays=None
+):
     """Projected Newton ascent on every person's row log-likelihood.
 
     All rows are one _newton_block solve, with the loadings as the design and
     at most config.inner_steps steps.  Returns (thetas, flagged_rows); a
     flagged row's line search failed at a step whose predicted gain was above
     round-off, and the row kept its previous iterate.  A row on the ball
-    steps along it and is not flagged for being there.
+    steps along it and is not flagged for being there.  arrays: a fit's
+    _fit_arrays, built here when absent.
     """
     link = as_link(link)
     responses = response_matrix(data)
     a = loadings_matrix(items)
+    persons = arrays[0] if arrays else _cell_arrays(responses)
     if _all_binary(items):
         d = np.array([item.intercepts[0] for item in items])
-        cells = _binary_cells(responses, a, d, link)
+        cells = _binary_cells(persons, a, d, link)
     else:
-        cells = _person_cells(responses, items, link)
+        cells = _person_cells(responses, items, link, persons[2])
     radius = config.radius(a.shape[1])
     thetas, failed = _newton_block(thetas, a, cells, radius, config.inner_steps)
     return thetas, np.where(failed)[0]
@@ -216,6 +239,7 @@ def update_item_block(
     config: CjmleConfig,
     q: np.ndarray | None = None,
     link: Link = Link.LOGIT,
+    arrays=None,
 ):
     """Projected Newton updates of every item, with Q-masked loadings frozen.
 
@@ -223,7 +247,8 @@ def update_item_block(
     vectors, with design [1, theta] and free mask [1, q_j]; graded and gpc
     items use fit_item one at a time, as the marginal M-steps do.  Returns
     (items, flagged_items); an item is flagged when its line search failed or
-    it ends on the radius-C ball (separable columns included).
+    it ends on the radius-C ball (separable columns included).  arrays: as
+    in update_person_block.
     """
     link = as_link(link)
     responses = response_matrix(data)
@@ -232,7 +257,8 @@ def update_item_block(
         design = np.column_stack([np.ones(len(thetas)), thetas])
         free = None if q is None else np.column_stack([np.ones(len(q), bool), q.astype(bool)])
         beta = np.array([item.beta() for item in items])
-        cells = _binary_cells(responses.T, design, None, link)
+        columns = arrays[1] if arrays else _cell_arrays(responses.T)
+        cells = _binary_cells(columns, design, None, link)
         beta, failed = _newton_block(beta, design, cells, radius, config.inner_steps, free)
         at_ball = np.linalg.norm(beta, axis=1) >= radius * (1.0 - 1e-9)
         items = [ItemParams(ModelKind.BINARY, b[:1], b[1:]) for b in beta]
@@ -319,7 +345,9 @@ def fit_cjmle(
     radius = config.radius(k)
     thetas = _project_rows(thetas, radius)
     items = [project_ball(item, radius) for item in items]
-    loglik = log_joint_likelihood(data, thetas, items, link)
+    arrays = _fit_arrays(response_matrix(data))
+    work = arrays[0][2]
+    loglik = log_joint_likelihood(data, thetas, items, link, out=work)
     if not np.isfinite(loglik):
         raise RuntimeError("joint log-likelihood is non-finite at the starting point")
     trajectory = []
@@ -328,9 +356,9 @@ def fit_cjmle(
     flagged_items = np.zeros(0, dtype=int)
     n_iters = 0
     for _ in range(config.max_iters):
-        thetas, flagged_rows = update_person_block(data, items, thetas, config, link)
-        items, flagged_items = update_item_block(data, thetas, items, config, q, link)
-        new_loglik = log_joint_likelihood(data, thetas, items, link)
+        thetas, flagged_rows = update_person_block(data, items, thetas, config, link, arrays)
+        items, flagged_items = update_item_block(data, thetas, items, config, q, link, arrays)
+        new_loglik = log_joint_likelihood(data, thetas, items, link, out=work)
         if not np.isfinite(new_loglik):
             raise RuntimeError("joint log-likelihood became non-finite after projection")
         trajectory.append(new_loglik)

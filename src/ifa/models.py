@@ -88,11 +88,9 @@ class Link(enum.Enum):
             return np.multiply(dlam, np.tanh(0.5 * x), out=dlam)
         return -np.clip(x, -1e300, 1e300) * np.exp(-0.5 * x * x) / _SQRT_2PI  # 0 at +-inf
 
-    def inverse(self, p):
+    def inverse(self, p, out=None):
         p = np.asarray(p, dtype=float)
-        if self is Link.LOGIT:
-            return special.logit(p)
-        return special.ndtri(p)
+        return (special.logit if self is Link.LOGIT else special.ndtri)(p, out=out)
 
 
 def _logistic_sf(x, out=None, derivs=False):
@@ -508,13 +506,14 @@ def person_logliks(responses, thetas, items, link: Link, out=None) -> np.ndarray
     return _panel_cells(z, codes, items, link, out=None if out is None else out[1:]).sum(axis=1)
 
 
-def log_joint_likelihood(data, thetas, items, link: Link = Link.LOGIT) -> float:
+def log_joint_likelihood(data, thetas, items, link: Link = Link.LOGIT, out=None) -> float:
     """Joint log-likelihood of responses given person and item parameters.
 
     data: Dataset or raw response matrix.  Missing cells contribute 0.
     Returns -inf (with a warning) if any observed cell has probability zero.
+    out: person_logliks' optional (3, n, J) work array.
     """
-    total = float(np.sum(person_logliks(data, thetas, items, link)))
+    total = float(np.sum(person_logliks(data, thetas, items, link, out=out)))
     if not np.isfinite(total):
         warnings.warn("joint likelihood underflow: some observed category has probability zero")
         return -np.inf

@@ -61,7 +61,8 @@ def _denoise(y: np.ndarray, k: int) -> np.ndarray:
         return max(int(np.sum(lam > singular_value_cutoff(*y.shape) ** 2)), k + 1)
 
     s, u, v = _leading_triplets(y, n_kept)
-    return np.clip((u * s) @ v.T, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    p = (u * s) @ v.T
+    return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP, out=p)
 
 
 def decompose_probability_matrix(p_matrix, k: int, link: Link = Link.LOGIT):
@@ -73,9 +74,10 @@ def decompose_probability_matrix(p_matrix, k: int, link: Link = Link.LOGIT):
     link = as_link(link)
     p = np.clip(np.asarray(p_matrix, dtype=float), _PROB_CLIP, 1.0 - _PROB_CLIP)
     n = p.shape[0]
-    m = link.inverse(p)
+    m = link.inverse(p, out=p)  # p is the clipped copy
     intercepts = m.mean(axis=0)
-    s, u, v = _leading_triplets(m - intercepts[None, :], lambda lam: k)
+    m -= intercepts[None, :]
+    s, u, v = _leading_triplets(m, lambda lam: k)
     thetas = np.sqrt(n) * u
     loadings = v * (s / np.sqrt(n))[None, :]
     flip = loadings.sum(axis=0) < 0

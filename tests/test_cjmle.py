@@ -6,9 +6,12 @@ a two-factor row pinned on the ball, and an independent logistic-regression
 solve (scipy BFGS with analytic gradient on the textbook binomial deviance)
 for item updates.  All are written against raw formulas so they share no
 code with the estimator under test.  The batched binary item block is also
-checked against a per-item fit_item loop.
+checked against a per-item fit_item loop, and a fit, which shares one set of
+work arrays across its calls, against stand-alone block calls.
 """
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +20,15 @@ from scipy.special import expit, log_expit, log_ndtr, ndtr
 
 from ifa.cjmle import (
     CjmleConfig,
+    _fit_arrays,
+    _fix_signs,
     _newton_block,
     fit_cjmle,
     update_item_block,
     update_person_block,
 )
 from ifa.identify import align_loadings
-from ifa.itemfit import fit_item
+from ifa.itemfit import _project_rows, fit_item, project_ball
 from ifa.models import (
     MISSING,
     Dataset,
@@ -447,3 +452,60 @@ class TestFitCjmle:
         data, _, _ = simulate(SimSpec(n_persons=30, n_items=5, seed=0))
         with pytest.raises(ValueError):
             fit_cjmle(data, 0)
+
+
+def standalone_fit(data, k, config, model, link, q):
+    """fit_cjmle without standardization, from stand-alone block and
+    likelihood calls that each build their own work arrays."""
+    thetas, items = spectral_start(data, k, model, link, q)
+    radius = config.radius(k)
+    thetas = _project_rows(np.array(thetas, dtype=float), radius)
+    items = [project_ball(item, radius) for item in items]
+    loglik, trail = log_joint_likelihood(data, thetas, items, link), []
+    for _ in range(config.max_iters):
+        thetas, rows = update_person_block(data, items, thetas, config, link)
+        items, flagged = update_item_block(data, thetas, items, config, q, link)
+        trail.append(log_joint_likelihood(data, thetas, items, link))
+        if abs(trail[-1] - loglik) < config.tol * (abs(loglik) + 1.0):
+            break
+        loglik = trail[-1]
+    return _fix_signs(thetas, items) + (trail, rows, flagged)
+
+
+class TestFitArrays:
+    Q = np.array([[1, 0], [0, 1], [1, 1]] * 8)
+
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    @pytest.mark.parametrize(
+        "model, missing, q, radius",
+        [("binary", 0.2, None, None), ("binary", 0.0, Q, 3.0), ("graded", 0.2, None, None)],
+    )
+    def test_fit_equals_standalone_blocks(self, link, model, missing, q, radius):
+        spec = SimSpec(300, 24, k=2, model=model, link=link, categories=2 + (model == "graded"),
+                       missing_rate=missing, q_matrix=q, seed=31)
+        data, _, _ = simulate(spec)
+        config = CjmleConfig(c_radius=radius, tol=1e-4)
+        fit = fit_cjmle(data, 2, config, model=model, link=link, q=q, standardize=False)
+        thetas, items, trail, rows, flagged = standalone_fit(data, 2, config, model, link, q)
+        assert fit.n_iters == len(trail) > 1
+        np.testing.assert_array_equal(fit.trajectory, trail)
+        np.testing.assert_array_equal(fit.thetas, thetas)
+        for got, want in zip(fit.items, items):
+            np.testing.assert_array_equal(got.intercepts, want.intercepts)
+            np.testing.assert_array_equal(got.loadings, want.loadings)
+        np.testing.assert_array_equal(fit.flagged_rows, rows)
+        np.testing.assert_array_equal(fit.flagged_items, flagged)
+
+    def test_person_block_with_fit_arrays_allocates_under_two_panels(self):
+        n, j = 2000, 60
+        data, _, _ = simulate(SimSpec(n, j, k=3, seed=32))
+        thetas, items = spectral_start(data, 3, ModelKind.BINARY, Link.LOGIT, None)
+        config, arrays = CjmleConfig(), _fit_arrays(data.responses)
+        thetas, _ = update_person_block(data, items, thetas, config, Link.LOGIT, arrays)
+        tracemalloc.start()
+        try:
+            update_person_block(data, items, thetas, config, Link.LOGIT, arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * j * 8

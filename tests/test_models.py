@@ -33,7 +33,7 @@ from ifa.models import (
     soft_grad_hess,
     soft_loglik,
 )
-from ifa.cjmle import _binary_cells
+from ifa.cjmle import _binary_cells, _cell_arrays
 
 from conftest import MODEL_LINK_PAIRS, random_item
 
@@ -368,7 +368,7 @@ class TestBinaryCell:
         thetas = np.vstack([rng.normal(size=(5, 2)), [[40, 0], [-40, 0], [1000, 0], [-1000, 0]]])
         responses = rng.integers(0, 2, size=(n, m))
         responses[rng.random((n, m)) < 0.25] = MISSING
-        cells = _binary_cells(responses, a, d, link)
+        cells = _binary_cells(_cell_arrays(responses), a, d, link)
         for rows in (slice(None), np.array([1, 5, 6, 8])):
             x, resp = thetas[rows], responses[rows]
             np.testing.assert_allclose(
@@ -446,6 +446,21 @@ class TestJointLikelihood:
                 fresh = _panel_cells(_predictors(theta, items), codes, items, link, derivs)
                 held = _panel_cells(_predictors(theta, items), codes, items, link, derivs, work[1:])
                 np.testing.assert_array_equal(held, fresh)
+
+    def test_work_array_gives_the_default_joint_likelihood(self):
+        rng = np.random.default_rng(21)
+        items = [random_item(ModelKind.BINARY, 2, rng) for _ in range(6)]
+        theta = rng.normal(size=(40, 2))
+        codes = rng.integers(0, 2, size=(40, 6))
+        codes[rng.random(codes.shape) < 0.2] = MISSING
+        for link in (Link.LOGIT, Link.PROBIT):
+            work = np.full((3, 40, 6), np.nan)
+            assert log_joint_likelihood(codes, theta, items, link, out=work) == (
+                log_joint_likelihood(codes, theta, items, link)
+            )
+        for shape in [(3, 40, 7), (3, 39, 6), (2, 40, 6), (4, 40, 6)]:
+            with pytest.raises(ValueError):
+                log_joint_likelihood(codes, theta, items, Link.LOGIT, out=np.empty(shape))
 
     def test_strictly_negative_for_nondegenerate_items(self):
         rng = np.random.default_rng(8)
